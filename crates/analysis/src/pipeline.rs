@@ -958,7 +958,8 @@ struct ServiceShared {
 /// workers so one long-running `analyze` can never starve every other
 /// session's cheap `stats` — even on a single-core host.
 ///
-/// Dropping the service finishes already-queued jobs, then joins the
+/// A job that panics is contained on its worker, which goes on to the next
+/// job.  Dropping the service finishes already-queued jobs, then joins the
 /// workers.
 pub struct ExecutorService {
     shared: Arc<ServiceShared>,
@@ -1017,7 +1018,10 @@ impl ExecutorService {
                     shared.ready.wait(&mut q);
                 }
             };
-            job();
+            // A panicking job must not take its pool thread down with it:
+            // the panic hook has already reported it, and the job still
+            // counts as completed so `pending` drains.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             shared.completed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1759,6 +1763,25 @@ mod tests {
         assert_eq!(svc.submitted(), 64);
         drop(svc); // joins workers; queued jobs already drained
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn executor_service_survives_panicking_jobs() {
+        // Two panicking jobs on the two-worker floor: without containment
+        // they would kill both pool threads and the third job never runs.
+        let svc = ExecutorService::new(1);
+        for _ in 0..2 {
+            svc.submit(|| panic!("job panics on purpose"));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        svc.submit(move || tx.send(()).unwrap());
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a job after two panicking ones still runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while svc.pending() != 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(svc.pending(), 0, "panicking jobs count as completed");
     }
 
     #[test]

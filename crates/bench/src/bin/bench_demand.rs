@@ -12,7 +12,7 @@ use std::sync::Arc;
 use suif_analysis::{FactStore, ParallelizeConfig, Parallelizer, ScheduleOptions, SummaryCache};
 use suif_benchmarks::{apps, BenchProgram, Scale};
 use suif_server::json::Json;
-use suif_server::Session;
+use suif_server::{Session, SessionConfig};
 
 const RUNS: usize = 3;
 const PAR_THREADS: usize = 4;
@@ -64,9 +64,12 @@ fn bench_app(bench: &BenchProgram) -> (String, f64, f64) {
 fn speculation_demo() -> String {
     let bench = apps::mdg(Scale::Test);
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_speculation(&bench.source, ScheduleOptions::sequential(), cache, 4)
-            .expect("open mdg session");
+    let cfg = SessionConfig {
+        opts: ScheduleOptions::sequential(),
+        spec_budget: 4,
+        ..SessionConfig::default()
+    };
+    let mut s = Session::open_cfg(&bench.source, cache, cfg).expect("open mdg session");
     let guru = s.guru_json();
     s.wait_speculation();
     if let Some(t) = guru

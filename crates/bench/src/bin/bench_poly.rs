@@ -1,23 +1,17 @@
 //! Polyhedral-kernel smoke benchmark for CI: sequential analysis wall-clock
-//! on the ch4 applications under the staged emptiness ladder versus the
-//! executable pre-overhaul kernel (the `suif_poly::legacy` module:
-//! `BTreeMap` expressions, fewest-occurrences elimination, always-full FM,
-//! selected by turning the staging toggle off), plus kernel microbenchmarks
-//! (intersect, project_out, prove_empty), emitted to `BENCH_4.json`.
+//! on the ch4 applications under the staged emptiness ladder, plus kernel
+//! microbenchmarks (intersect, project_out, prove_empty), emitted to
+//! `BENCH_4.json`.
 //!
-//! The toggle only reroutes the emptiness proofs and simplifier; the rest of
-//! the analysis keeps the overhauled inline representation in both
-//! configurations, so the in-process `kernel_speedup` *understates* the full
-//! before/after delta.  `scripts/bench_poly_baseline.sh` measures the real
-//! thing — it builds the pre-overhaul tree from git and passes its wall time
-//! in `BENCH_POLY_BASELINE_SECS`, which this binary folds into the report as
+//! `scripts/bench_poly_baseline.sh` supplies the before/after comparison:
+//! it builds the pre-overhaul tree from git and passes its wall time in
+//! `BENCH_POLY_BASELINE_SECS`, which this binary folds into the report as
 //! `total.pre_pr_wall_secs` / `total.speedup` and gates at 1.3x.
 //!
 //! Every measured run is cold: fresh fact store, cleared prove-empty memo.
-//! Reported numbers are the best of `RUNS` interleaved samples.  The stage
-//! counters of the staged configuration are included so the smoke check can
-//! see what share of emptiness queries resolved without full
-//! Fourier–Motzkin.
+//! Reported numbers are the best of `RUNS` samples.  The stage counters are
+//! included so the smoke check can see what share of emptiness queries
+//! resolved without full Fourier–Motzkin.
 
 use std::time::Instant;
 use suif_analysis::{FactStore, ParallelizeConfig, Parallelizer, ScheduleOptions};
@@ -29,10 +23,9 @@ const RUNS: usize = 5;
 /// into samples large enough to rise above scheduler noise.
 const BATCH: usize = 3;
 
-/// One timed sample under the given ladder configuration: `BATCH` cold
-/// sequential analyses (fresh store, cleared memo each), summed.
-fn analysis_sample(program: &suif_ir::Program, staged: bool) -> (f64, PolyStats, usize) {
-    suif_poly::set_staged_emptiness(staged);
+/// One timed sample: `BATCH` cold sequential analyses (fresh store,
+/// cleared memo each), summed.
+fn analysis_sample(program: &suif_ir::Program) -> (f64, PolyStats, usize) {
     let mut secs = 0.0;
     let mut poly = PolyStats::default();
     let mut loops = 0;
@@ -62,19 +55,13 @@ fn add(out: &mut PolyStats, d: &PolyStats) {
     out.subscript_rejects += d.subscript_rejects;
 }
 
-fn bench_app(bench: &BenchProgram, stages: &mut PolyStats) -> (String, f64, f64) {
+fn bench_app(bench: &BenchProgram, stages: &mut PolyStats) -> (String, f64) {
     let program = bench.parse();
-    // Interleave configurations (legacy, staged, legacy, staged, ...) so
-    // slow drift in the host's load hits both sides equally; keep the best
-    // sample each.
-    let mut legacy = f64::INFINITY;
     let mut staged = f64::INFINITY;
     let mut poly = PolyStats::default();
     let mut loops = 0;
     for _ in 0..RUNS {
-        let (o, _, l) = analysis_sample(&program, false);
-        legacy = legacy.min(o);
-        let (s, p, _) = analysis_sample(&program, true);
+        let (s, p, l) = analysis_sample(&program);
         if s < staged {
             staged = s;
             poly = p;
@@ -82,18 +69,12 @@ fn bench_app(bench: &BenchProgram, stages: &mut PolyStats) -> (String, f64, f64)
         loops = l;
     }
     add(stages, &poly);
-    eprintln!(
-        "{:<8} {loops:>3} loops  legacy-kernel {legacy:.6}s  staged {staged:.6}s  x{:.2}",
-        bench.name,
-        legacy / staged.max(1e-12)
-    );
+    eprintln!("{:<8} {loops:>3} loops  staged {staged:.6}s", bench.name);
     let json = format!(
-        "{{\"name\":\"{}\",\"loops\":{loops},\"legacy_kernel_wall_secs\":{legacy:.6},\
-         \"staged_wall_secs\":{staged:.6},\"kernel_speedup\":{:.4}}}",
-        bench.name,
-        legacy / staged.max(1e-12)
+        "{{\"name\":\"{}\",\"loops\":{loops},\"staged_wall_secs\":{staged:.6}}}",
+        bench.name
     );
-    (json, legacy, staged)
+    (json, staged)
 }
 
 /// Deterministic pseudo-random stream (SplitMix64) for the microbenchmark
@@ -148,7 +129,7 @@ fn micro_time(mut body: impl FnMut()) -> f64 {
     best
 }
 
-/// Kernel microbenchmarks over a fixed synthetic workload, staged off/on.
+/// Kernel microbenchmarks over a fixed synthetic workload.
 fn micro_json() -> String {
     let systems = micro_systems(400);
     let mut out = Vec::new();
@@ -157,37 +138,27 @@ fn micro_json() -> String {
         ("project_out", 1),
         ("prove_empty", 2),
     ] {
-        let mut secs = [0.0f64; 2];
-        for (slot, staged) in [(0, false), (1, true)] {
-            suif_poly::set_staged_emptiness(staged);
-            secs[slot] = micro_time(|| match op {
-                0 => {
-                    for w in systems.windows(2) {
-                        std::hint::black_box(w[0].intersect(&w[1]));
+        let secs = micro_time(|| match op {
+            0 => {
+                for w in systems.windows(2) {
+                    std::hint::black_box(w[0].intersect(&w[1]));
+                }
+            }
+            1 => {
+                for p in &systems {
+                    for &v in &MICRO_VARS {
+                        std::hint::black_box(p.project_out(v));
                     }
                 }
-                1 => {
-                    for p in &systems {
-                        for &v in &MICRO_VARS {
-                            std::hint::black_box(p.project_out(v));
-                        }
-                    }
+            }
+            _ => {
+                for p in &systems {
+                    std::hint::black_box(p.prove_empty());
                 }
-                _ => {
-                    for p in &systems {
-                        std::hint::black_box(p.prove_empty());
-                    }
-                }
-            });
-        }
-        eprintln!(
-            "micro {name:<12} legacy-kernel {:.6}s  staged {:.6}s",
-            secs[0], secs[1]
-        );
-        out.push(format!(
-            "\"{name}\":{{\"legacy_kernel_secs\":{:.6},\"staged_secs\":{:.6}}}",
-            secs[0], secs[1]
-        ));
+            }
+        });
+        eprintln!("micro {name:<12} staged {secs:.6}s");
+        out.push(format!("\"{name}\":{{\"staged_secs\":{secs:.6}}}"));
     }
     format!("{{{}}}", out.join(","))
 }
@@ -205,18 +176,15 @@ fn main() {
         apps::hydro2d(Scale::Test),
         apps::wave5(Scale::Test),
     ];
-    let mut total_legacy = 0.0;
     let mut total_staged = 0.0;
     let mut per_app = Vec::new();
     let mut stages = PolyStats::default();
     for b in &benches {
-        let (json, legacy, staged) = bench_app(b, &mut stages);
-        total_legacy += legacy;
+        let (json, staged) = bench_app(b, &mut stages);
         total_staged += staged;
         per_app.push(json);
     }
     let micro = micro_json();
-    suif_poly::set_staged_emptiness(true);
     let cheap = stages.gcd_rejects + stages.interval_rejects + stages.quick_sats;
     let no_fm_share = cheap as f64 / (cheap + stages.fm_runs).max(1) as f64;
     let pre_pr = baseline.map_or(String::new(), |b| {
@@ -228,15 +196,12 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"ch4-poly-kernel\",\"cpus\":{cpus},\
          \"apps\":[{}],\
-         \"total\":{{\"legacy_kernel_wall_secs\":{total_legacy:.6},\
-         \"staged_wall_secs\":{total_staged:.6},\
-         \"kernel_speedup\":{:.4}{pre_pr}}},\
+         \"total\":{{\"staged_wall_secs\":{total_staged:.6}{pre_pr}}},\
          \"stages\":{{\"gcd_rejects\":{},\"interval_rejects\":{},\"quick_sats\":{},\
          \"subscript_rejects\":{},\"fm_runs\":{},\"approximations\":{},\
          \"no_fm_share\":{no_fm_share:.4}}},\
          \"micro\":{micro}}}",
         per_app.join(","),
-        total_legacy / total_staged.max(1e-12),
         stages.gcd_rejects,
         stages.interval_rejects,
         stages.quick_sats,
@@ -255,13 +220,5 @@ fn main() {
             );
             std::process::exit(1);
         }
-    } else if total_staged > total_legacy * 1.15 {
-        // No git baseline available: sanity-gate the in-process kernel A/B
-        // with slack for timer noise on loaded hosts.
-        eprintln!(
-            "error: staged kernel ({total_staged:.6}s) regressed >15% against the \
-             in-process legacy kernel ({total_legacy:.6}s)"
-        );
-        std::process::exit(1);
     }
 }

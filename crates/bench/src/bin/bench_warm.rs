@@ -32,17 +32,15 @@ use std::time::Instant;
 use suif_analysis::{ScheduleOptions, SummaryCache};
 use suif_benchmarks::{ch4_apps, Scale};
 use suif_server::json::Json;
-use suif_server::{Session, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+use suif_server::{Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 
 fn open(source: &str, dir: &Path) -> Session {
-    Session::open_with_persistence(
-        source,
-        ScheduleOptions::sequential(),
-        Arc::new(SummaryCache::new()),
-        0,
-        Some(dir),
-    )
-    .expect("session open")
+    let cfg = SessionConfig {
+        opts: ScheduleOptions::sequential(),
+        persist_dir: Some(dir.to_path_buf()),
+        ..SessionConfig::default()
+    };
+    Session::open_cfg(source, Arc::new(SummaryCache::new()), cfg).expect("session open")
 }
 
 fn snap_i64(s: &Session, field: &str) -> i64 {

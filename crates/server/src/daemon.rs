@@ -46,6 +46,7 @@ use crate::reactor::{Event, Interest, Poller, WakePipe};
 use crate::session::{Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,7 +114,7 @@ pub struct ServiceState {
 /// `stats.service.reactor`.
 #[derive(Default)]
 struct ReactorStats {
-    /// Readiness backend in use (`"epoll"`, `"poll"`, `"emulate"`); unset
+    /// Readiness backend in use (`"epoll"` or `"poll"`); unset
     /// until a reactor starts (stdio-only daemons never set it).
     backend: OnceLock<&'static str>,
     /// Connections currently registered with the reactor.
@@ -285,53 +286,19 @@ pub struct Daemon {
     /// This connection's registry id, echoed in every response.
     session_id: u64,
     session: Option<Session>,
-    /// Default base seed for `certify` requests without one.
-    certify_seed: u64,
 }
 
 impl Daemon {
-    /// A single-tenant daemon with `threads` scheduler workers (`0` = one
-    /// per core), speculative pre-classification off, and no persistence.
-    pub fn new(threads: usize) -> Daemon {
-        Daemon::with_speculation(threads, 0)
-    }
-
-    /// [`Daemon::new`] plus a speculation budget: after each `guru`
-    /// response, the facts of up to `speculate` top-ranked loops are
-    /// demanded on a background thread.
-    pub fn with_speculation(threads: usize, speculate: usize) -> Daemon {
-        Daemon::with_options(threads, speculate, None)
-    }
-
-    /// [`Daemon::with_speculation`] plus an optional persist directory for
-    /// durable fact snapshots (crash-safe warm starts across daemon
-    /// restarts).
-    pub fn with_options(threads: usize, speculate: usize, persist_dir: Option<PathBuf>) -> Daemon {
-        Daemon::for_state(ServiceState::new(ServiceOptions {
-            threads,
-            speculate,
-            persist_dir,
-            ..ServiceOptions::default()
-        }))
-    }
-
-    /// A daemon for one connection of a multi-tenant service, registered
-    /// under a fresh session id.
+    /// A daemon for one connection of a service, registered under a fresh
+    /// session id.  A single-tenant daemon is one over its own
+    /// `ServiceState::new(options)`.
     pub fn for_state(state: Arc<ServiceState>) -> Daemon {
         let session_id = state.next_session_id.fetch_add(1, Ordering::SeqCst) + 1;
-        let certify_seed = state.certify_seed;
         Daemon {
             state,
             session_id,
             session: None,
-            certify_seed,
         }
-    }
-
-    /// Set the default base seed used by `certify` requests without an
-    /// explicit `seed` field (the `--certify-seed` CLI flag).
-    pub fn set_certify_seed(&mut self, seed: u64) {
-        self.certify_seed = seed;
     }
 
     /// Open a session for `text` over the shared tier and summary cache.
@@ -490,6 +457,31 @@ impl Daemon {
         (out, false)
     }
 
+    /// Answer every request in `frames` with an error after running them
+    /// panicked, and detach the session: its state may be half-updated, so
+    /// the connection carries on as if it had never loaded.  Responses the
+    /// batch produced before the panic are lost with it; each non-blank
+    /// frame gets one error line, carrying the request's `id` if it has one.
+    fn fail_frames(&mut self, frames: &[Frame]) -> Vec<u8> {
+        if self.session.take().is_some() {
+            self.state.release_session();
+        }
+        let mut out = Vec::new();
+        for f in frames {
+            let id = match f {
+                Frame::Line(l) if l.trim().is_empty() => continue,
+                Frame::Line(l) => Json::parse(l).ok().and_then(|v| request_id(&v)),
+                Frame::Oversize(_) => None,
+            };
+            let resp = self.tag(err_response(
+                "internal error: request panicked; session detached",
+            ));
+            out.extend_from_slice(with_id(resp, id).to_string().as_bytes());
+            out.push(b'\n');
+        }
+        out
+    }
+
     /// Execute one parsed request; returns the tagged response and whether
     /// the connection should close.
     fn dispatch(&mut self, req: Request) -> (Json, bool) {
@@ -515,7 +507,7 @@ impl Daemon {
                 schedules,
                 seed,
             } => {
-                let seed = seed.unwrap_or(self.certify_seed);
+                let seed = seed.unwrap_or(self.state.certify_seed);
                 self.with_session(|s| {
                     s.certify_json(loop_name.as_deref(), schedules.unwrap_or(4), seed)
                 })
@@ -643,24 +635,7 @@ impl Drop for Daemon {
     }
 }
 
-/// Serve on stdin/stdout until `quit` or EOF.  `certify_seed` is the
-/// default base seed for `certify` requests without one (`--certify-seed`).
-pub fn serve_stdio(
-    threads: usize,
-    speculate: usize,
-    persist_dir: Option<PathBuf>,
-    certify_seed: u64,
-) -> io::Result<()> {
-    serve_stdio_with(ServiceOptions {
-        threads,
-        speculate,
-        persist_dir,
-        certify_seed,
-        ..ServiceOptions::default()
-    })
-}
-
-/// [`serve_stdio`] over full [`ServiceOptions`] (budgets and admission
+/// Serve on stdin/stdout until `quit` or EOF (budgets and admission
 /// control apply to the one stdio session too).
 pub fn serve_stdio_with(options: ServiceOptions) -> io::Result<()> {
     let mut daemon = Daemon::for_state(ServiceState::new(options));
@@ -821,16 +796,6 @@ impl Conn {
     }
 }
 
-#[cfg(unix)]
-fn sock_fd<T: std::os::unix::io::AsRawFd>(s: &T, _token: usize) -> crate::reactor::RawFd {
-    s.as_raw_fd() as crate::reactor::RawFd
-}
-#[cfg(not(unix))]
-fn sock_fd<T>(_s: &T, token: usize) -> crate::reactor::RawFd {
-    // The emulation backend never dereferences fds; any unique key works.
-    token
-}
-
 /// The reactor event loop of [`serve_tcp_with`], over an already bound
 /// listener and shared state (tests bind their own listener to learn the
 /// port, then drive this directly).  One thread, nonblocking sockets,
@@ -844,7 +809,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
     let waker = wake.waker();
     let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::new(Mutex::new(VecDeque::new()));
 
-    let listener_fd = sock_fd(&listener, LISTENER_TOKEN);
+    let listener_fd = listener.as_raw_fd();
     poller.register(listener_fd, LISTENER_TOKEN, Interest::READ)?;
     poller.register(wake.read_fd(), WAKE_TOKEN, Interest::READ)?;
 
@@ -894,7 +859,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                                 });
                                 generation += 1;
                                 let token = slot + TOKEN_BASE;
-                                let fd = sock_fd(&stream, token);
+                                let fd = stream.as_raw_fd();
                                 let daemon = Daemon::for_state(state.clone());
                                 if poller.register(fd, token, Interest::READ).is_err() {
                                     // Registration failure (fd pressure):
@@ -1038,7 +1003,13 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                     inflight[slot] = true;
                     state.reactor.offloaded.fetch_add(1, Ordering::Relaxed);
                     state.workers.submit(move || {
-                        let (bytes, close) = daemon.run_frames(&frames);
+                        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            daemon.run_frames(&frames)
+                        }));
+                        let (bytes, close) = match ran {
+                            Ok(done) => done,
+                            Err(_) => (daemon.fail_frames(&frames), false),
+                        };
                         completions.lock().unwrap().push_back(Completion {
                             slot,
                             generation: gen,
@@ -1081,27 +1052,6 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
     Ok(())
 }
 
-/// [`serve_tcp_with`] under legacy single-knob options (no admission limit,
-/// unbounded budgets).
-pub fn serve_tcp(
-    addr: &str,
-    threads: usize,
-    speculate: usize,
-    persist_dir: Option<PathBuf>,
-    certify_seed: u64,
-) -> io::Result<()> {
-    serve_tcp_with(
-        addr,
-        ServiceOptions {
-            threads,
-            speculate,
-            persist_dir,
-            certify_seed,
-            ..ServiceOptions::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,9 +1064,21 @@ mod tests {
         resp
     }
 
+    /// A single-tenant daemon over its own service state.
+    fn single(options: ServiceOptions) -> Daemon {
+        Daemon::for_state(ServiceState::new(options))
+    }
+
+    fn one_thread() -> ServiceOptions {
+        ServiceOptions {
+            threads: 1,
+            ..ServiceOptions::default()
+        }
+    }
+
     #[test]
     fn daemon_round_trip() {
-        let mut d = Daemon::new(1);
+        let mut d = single(one_thread());
         // Queries before load fail cleanly.
         let r = req(&mut d, r#"{"cmd":"analyze"}"#);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
@@ -1197,8 +1159,54 @@ mod tests {
     }
 
     #[test]
+    fn certify_without_seed_uses_the_service_default() {
+        let mut d = single(ServiceOptions {
+            certify_seed: 42,
+            ..one_thread()
+        });
+        let r = req(&mut d, &format!(r#"{{"cmd":"load","text":"{SRC}"}}"#));
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        let r = req(&mut d, r#"{"cmd":"certify","loop":"main/1","schedules":1}"#);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        assert_eq!(r.get("seed").and_then(Json::as_i64), Some(42), "{r}");
+    }
+
+    #[test]
+    fn failed_frames_answer_errors_and_detach_the_session() {
+        let state = ServiceState::new(one_thread());
+        let mut d = Daemon::for_state(state.clone());
+        let r = req(&mut d, &format!(r#"{{"cmd":"load","text":"{SRC}"}}"#));
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 1);
+
+        let frames = [
+            Frame::Line(r#"{"cmd":"guru","id":5}"#.into()),
+            Frame::Line("  ".into()),
+            Frame::Oversize(9),
+        ];
+        let text = String::from_utf8(d.fail_frames(&frames)).unwrap();
+        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2, "one error per non-blank frame: {text}");
+        for l in &lines {
+            assert_eq!(l.get("ok").and_then(Json::as_bool), Some(false), "{l}");
+            assert_eq!(l.get("session").and_then(Json::as_i64), Some(1));
+        }
+        assert_eq!(lines[0].get("id").and_then(Json::as_i64), Some(5));
+
+        // Detached: the registry slot is free and the connection answers
+        // as one that never loaded, until it loads again.
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 0);
+        let r = req(&mut d, r#"{"cmd":"analyze"}"#);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+        let r = req(&mut d, &format!(r#"{{"cmd":"load","text":"{SRC}"}}"#));
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        drop(d);
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn serve_loop_over_buffers() {
-        let mut d = Daemon::new(1);
+        let mut d = single(one_thread());
         let input = format!(
             "{}\n{}\n{}\n",
             format_args!(r#"{{"cmd":"load","text":"{SRC}"}}"#),

@@ -17,6 +17,9 @@
 //! and shared byte budgets, admission control, and per-connection bounded
 //! write queues for backpressure.  Clients may pipeline: many request
 //! lines per write, a `batch` command with ordered per-id replies, or both.
+//!
+//! The crate is Unix-only: the reactor blocks on raw file descriptors
+//! through the platform libc (`epoll` on Linux, `poll(2)` elsewhere).
 
 pub mod corpus;
 pub mod daemon;
@@ -31,8 +34,7 @@ pub use corpus::{
     DEFAULT_MAX_PROGRAM_BYTES,
 };
 pub use daemon::{
-    serve_listener, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, Daemon,
-    ServiceOptions, ServiceState,
+    serve_listener, serve_stdio_with, serve_tcp_with, Daemon, ServiceOptions, ServiceState,
 };
 pub use proto::{Frame, FrameDecoder, MAX_LINE_BYTES};
 pub use reactor::{Interest, Poller, WakePipe};

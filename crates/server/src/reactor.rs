@@ -7,21 +7,16 @@
 //! something happens — a socket became readable, a write queue drained, a
 //! worker finished an offloaded command — and the only portable way to
 //! block on *all* of those at once is the operating system's readiness
-//! API.  This module wraps it three ways, picked at runtime:
+//! API.  This module wraps it two ways, picked at runtime:
 //!
 //! * **epoll** (Linux, the default): `epoll_create1`/`epoll_ctl`/
 //!   `epoll_wait` through direct `extern "C"` bindings — the symbols live
 //!   in the libc every Linux Rust binary already links, so no crate
 //!   dependency is added.  Level-triggered, O(ready) wakeups, comfortably
 //!   holds thousands of idle registrations.
-//! * **poll** (any Unix, forced with `SUIF_REACTOR_BACKEND=poll`): a
+//! * **poll** (every other Unix, and Linux when `epoll_create1` fails): a
 //!   `poll(2)` sweep over the registered set.  O(registered) per wait, but
-//!   portable to every Unix and still a single blocking call — the
-//!   fallback when epoll is unavailable.
-//! * **emulation** (non-Unix): a condvar-timed sweep that reports every
-//!   registered token as possibly-ready and relies on the caller's
-//!   nonblocking reads to sort out the truth.  Functional, not fast; it
-//!   exists so the crate builds and serves everywhere.
+//!   portable to every Unix and still a single blocking call.
 //!
 //! The [`WakePipe`] is the worker half's doorbell: completion of an
 //! offloaded command pushes a result onto a queue and writes one byte into
@@ -33,14 +28,8 @@
 
 use std::io;
 
-/// The fd type registered with the poller: the platform's raw fd on unix,
-/// any caller-chosen unique key on the emulation backend elsewhere.
-#[cfg(unix)]
+/// The fd type registered with the poller.
 pub use std::os::unix::io::RawFd;
-/// The fd type registered with the poller: the platform's raw fd on unix,
-/// any caller-chosen unique key on the emulation backend elsewhere.
-#[cfg(not(unix))]
-pub type RawFd = usize;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Clone, Copy, Debug)]
@@ -78,12 +67,11 @@ impl Interest {
 }
 
 // ---------------------------------------------------------------------------
-// Raw libc bindings (Unix).  The build environment has no registry access,
+// Raw libc bindings.  The build environment has no registry access,
 // so these symbols are declared by hand; they resolve against the platform
 // libc that every Rust Unix binary links anyway.
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_void};
     use std::os::unix::io::RawFd;
@@ -169,13 +157,11 @@ mod sys {
 /// A self-wake channel: the reactor registers the read end in its poller;
 /// any thread holding a [`Waker`] can make the next (or current) `wait`
 /// return by writing one byte.
-#[cfg(unix)]
 pub struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
 }
 
-#[cfg(unix)]
 impl WakePipe {
     pub fn new() -> io::Result<WakePipe> {
         let mut fds = [0i32; 2];
@@ -229,7 +215,6 @@ impl WakePipe {
     }
 }
 
-#[cfg(unix)]
 impl Drop for WakePipe {
     fn drop(&mut self) {
         unsafe {
@@ -242,13 +227,11 @@ impl Drop for WakePipe {
 /// The writable half of a [`WakePipe`], safe to share across worker
 /// threads.  Writes are fire-and-forget: a full pipe already guarantees a
 /// pending wakeup, so `EAGAIN` is success.
-#[cfg(unix)]
 #[derive(Clone, Copy)]
 pub struct Waker {
     write_fd: RawFd,
 }
 
-#[cfg(unix)]
 impl Waker {
     pub fn wake(&self) {
         let b = [1u8];
@@ -258,53 +241,13 @@ impl Waker {
     }
 }
 
-#[cfg(unix)]
+// SAFETY: a `Waker`'s only field is the pipe's write-end fd number, a
+// plain integer, and `write(2)` of one byte to a pipe may be issued from
+// any thread concurrently.  The fd must outlive every wake: the reactor
+// keeps its `WakePipe` until no worker job holding the `Waker` is pending.
 unsafe impl Send for Waker {}
-#[cfg(unix)]
+// SAFETY: as for `Send`; `wake` takes `&self` and mutates nothing.
 unsafe impl Sync for Waker {}
-
-/// Non-Unix stand-in: a condvar-backed flag the emulation poller checks.
-#[cfg(not(unix))]
-pub struct WakePipe {
-    flag: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-#[cfg(not(unix))]
-#[derive(Clone)]
-pub struct Waker {
-    flag: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-#[cfg(not(unix))]
-impl WakePipe {
-    pub fn new() -> io::Result<WakePipe> {
-        Ok(WakePipe {
-            flag: std::sync::Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-        })
-    }
-    pub fn read_fd(&self) -> RawFd {
-        usize::MAX
-    }
-    pub fn waker(&self) -> Waker {
-        Waker {
-            flag: self.flag.clone(),
-        }
-    }
-    pub fn drain(&self) -> usize {
-        let mut g = self.flag.0.lock().unwrap();
-        let was = *g;
-        *g = false;
-        usize::from(was)
-    }
-}
-
-#[cfg(not(unix))]
-impl Waker {
-    pub fn wake(&self) {
-        *self.flag.0.lock().unwrap() = true;
-        self.flag.1.notify_all();
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The poller
@@ -313,15 +256,9 @@ impl Waker {
 enum Backend {
     #[cfg(target_os = "linux")]
     Epoll { epfd: RawFd },
-    #[cfg(unix)]
     Poll {
         /// Registered fds in stable order: `(fd, token, interest)`.
         regs: Vec<(RawFd, usize, Interest)>,
-    },
-    #[cfg(not(unix))]
-    Emulate {
-        regs: Vec<(RawFd, usize, Interest)>,
-        wake: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
     },
 }
 
@@ -335,50 +272,33 @@ pub struct Poller {
 
 impl Poller {
     /// Build the best poller for this platform: epoll on Linux, `poll(2)`
-    /// elsewhere on Unix.  `SUIF_REACTOR_BACKEND=poll` forces the poll
-    /// backend (CI exercises both paths on Linux).
+    /// elsewhere on Unix.
     pub fn new() -> io::Result<Poller> {
-        let forced = std::env::var("SUIF_REACTOR_BACKEND").unwrap_or_default();
         #[cfg(target_os = "linux")]
         {
-            if forced != "poll" {
-                let epfd = unsafe { sys::epoll_create1(0) };
-                if epfd >= 0 {
-                    return Ok(Poller {
-                        backend: Backend::Epoll { epfd },
-                        name: "epoll",
-                    });
-                }
-                // epoll failed (exotic container seccomp?): fall through to
-                // the portable backend rather than refusing to serve.
+            let epfd = unsafe { sys::epoll_create1(0) };
+            if epfd >= 0 {
+                return Ok(Poller {
+                    backend: Backend::Epoll { epfd },
+                    name: "epoll",
+                });
             }
+            // epoll failed (exotic container seccomp?): fall through to
+            // the portable backend rather than refusing to serve.
         }
-        #[cfg(unix)]
-        {
-            let _ = forced;
-            Ok(Poller {
-                backend: Backend::Poll { regs: Vec::new() },
-                name: "poll",
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = forced;
-            Ok(Poller {
-                backend: Backend::Emulate {
-                    regs: Vec::new(),
-                    wake: std::sync::Arc::new((
-                        std::sync::Mutex::new(false),
-                        std::sync::Condvar::new(),
-                    )),
-                },
-                name: "emulate",
-            })
+        Ok(Poller::portable())
+    }
+
+    /// The `poll(2)` backend, available on every Unix.
+    fn portable() -> Poller {
+        Poller {
+            backend: Backend::Poll { regs: Vec::new() },
+            name: "poll",
         }
     }
 
-    /// Which backend this poller runs (`"epoll"`, `"poll"`, `"emulate"`);
-    /// surfaced in `stats.service.reactor`.
+    /// Which backend this poller runs (`"epoll"` or `"poll"`); surfaced in
+    /// `stats.service.reactor`.
     pub fn backend_name(&self) -> &'static str {
         self.name
     }
@@ -397,14 +317,7 @@ impl Poller {
                 }
                 Ok(())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
-                regs.retain(|(f, _, _)| *f != fd);
-                regs.push((fd, token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
                 regs.retain(|(f, _, _)| *f != fd);
                 regs.push((fd, token, interest));
                 Ok(())
@@ -426,20 +339,7 @@ impl Poller {
                 }
                 Ok(())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
-                for r in regs.iter_mut() {
-                    if r.0 == fd {
-                        r.1 = token;
-                        r.2 = interest;
-                        return Ok(());
-                    }
-                }
-                regs.push((fd, token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
                 for r in regs.iter_mut() {
                     if r.0 == fd {
                         r.1 = token;
@@ -465,13 +365,7 @@ impl Poller {
                 unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
                 Ok(())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
-                regs.retain(|(f, _, _)| *f != fd);
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
                 regs.retain(|(f, _, _)| *f != fd);
                 Ok(())
             }
@@ -510,7 +404,6 @@ impl Poller {
                 }
                 Ok(events.len())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
                 let mut fds: Vec<sys::PollFd> = regs
                     .iter()
@@ -546,29 +439,6 @@ impl Poller {
                 }
                 Ok(events.len())
             }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, wake } => {
-                // No readiness API: wait a short beat on the wake condvar,
-                // then report every registration as possibly ready.  The
-                // caller's nonblocking IO turns "possibly" into truth.
-                let dur = std::time::Duration::from_millis(if timeout_ms < 0 {
-                    5
-                } else {
-                    (timeout_ms as u64).min(5)
-                });
-                let (lock, cv) = (&wake.0, &wake.1);
-                let g = lock.lock().unwrap();
-                let _ = cv.wait_timeout(g, dur).unwrap();
-                for (_, token, i) in regs.iter() {
-                    events.push(Event {
-                        token: *token,
-                        readable: i.readable,
-                        writable: i.writable,
-                        hangup: false,
-                    });
-                }
-                Ok(events.len())
-            }
         }
     }
 }
@@ -593,25 +463,12 @@ impl Drop for Poller {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
-
-    fn poller(force_poll: bool) -> Poller {
-        if force_poll {
-            // Build the portable backend directly rather than mutating the
-            // process environment (tests run concurrently).
-            Poller {
-                backend: Backend::Poll { regs: Vec::new() },
-                name: "poll",
-            }
-        } else {
-            Poller::new().unwrap()
-        }
-    }
 
     fn readiness_round_trip(mut p: Poller) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -659,17 +516,17 @@ mod tests {
 
     #[test]
     fn default_backend_readiness() {
-        readiness_round_trip(poller(false));
+        readiness_round_trip(Poller::new().unwrap());
     }
 
     #[test]
     fn portable_poll_backend_readiness() {
-        readiness_round_trip(poller(true));
+        readiness_round_trip(Poller::portable());
     }
 
     #[test]
     fn wake_pipe_rings_and_drains() {
-        let mut p = poller(false);
+        let mut p = Poller::new().unwrap();
         let pipe = WakePipe::new().unwrap();
         p.register(pipe.read_fd(), 1, Interest::READ).unwrap();
         let mut events = Vec::new();

@@ -7,7 +7,10 @@ use std::process::Command;
 use std::sync::Arc;
 use suif_analysis::{SharedFactTier, SummaryCache};
 use suif_server::json::Json;
-use suif_server::{analyze_single, generated_entries, run_corpus, CorpusOptions, Daemon};
+use suif_server::{
+    analyze_single, generated_entries, run_corpus, CorpusOptions, Daemon, ServiceOptions,
+    ServiceState,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_suif-explorer");
 
@@ -220,7 +223,10 @@ fn cli_corpus_manifest_and_report_file() {
 /// in one response.
 #[test]
 fn daemon_corpus_command_needs_no_session() {
-    let mut d = Daemon::new(2);
+    let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
+        threads: 2,
+        ..ServiceOptions::default()
+    }));
     let (resp, close) = d.handle_line(r#"{"cmd":"corpus","gen":5,"seed_base":9,"workers":2}"#);
     assert!(!close);
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");

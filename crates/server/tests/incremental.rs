@@ -4,12 +4,13 @@
 //! change *what is recomputed*, never *what is computed*.
 
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use suif_analysis::{FactKey, FactStore, Pass, PassId, ScheduleOptions, Scope, SummaryCache};
 use suif_ir::StmtId;
 use suif_server::json::Json;
-use suif_server::Session;
+use suif_server::{Session, SessionConfig};
 
 /// A generated program: `n` leaf procedures (elementwise when the constant
 /// is even, a loop-carried recurrence when odd) called in sequence by main.
@@ -34,9 +35,26 @@ fn gen_src(consts: &[i64]) -> String {
     s
 }
 
+/// Open a sequential session with the given speculation budget and
+/// optional persist directory.
+fn open(
+    src: &str,
+    cache: Arc<SummaryCache>,
+    spec_budget: usize,
+    persist_dir: Option<&Path>,
+) -> Session {
+    let cfg = SessionConfig {
+        opts: ScheduleOptions::sequential(),
+        spec_budget,
+        persist_dir: persist_dir.map(Path::to_path_buf),
+        ..SessionConfig::default()
+    };
+    Session::open_cfg(src, cache, cfg).unwrap()
+}
+
 fn fresh_verdicts(src: &str) -> Json {
     let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open(src, ScheduleOptions::sequential(), cache).unwrap();
+    let mut s = open(src, cache, 0, None);
     s.analyze()
 }
 
@@ -59,7 +77,7 @@ proptest! {
 
         let cache = Arc::new(SummaryCache::new());
         let mut session =
-            Session::open(&base_src, ScheduleOptions::sequential(), cache).unwrap();
+            open(&base_src, cache, 0, None);
         session.reload(&edited_src).unwrap();
         let warm = session.analyze();
 
@@ -89,7 +107,7 @@ proptest! {
 
         let cache = Arc::new(SummaryCache::new());
         let mut session =
-            Session::open(&gen_src(&consts), ScheduleOptions::sequential(), cache).unwrap();
+            open(&gen_src(&consts), cache, 0, None);
         session.reload(&gen_src(&edited)).unwrap();
 
         if consts[edit_at] == edited[edit_at] {
@@ -198,8 +216,7 @@ fn spec_src(consts: &[i64]) -> String {
 fn speculation_prefetch_hits_are_reported() {
     let src = spec_src(&[1, 3]); // two sequential recurrence loops
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_speculation(&src, ScheduleOptions::sequential(), cache, 4).unwrap();
+    let mut s = open(&src, cache, 4, None);
 
     let g = s.guru_json();
     let targets = g.get("targets").and_then(Json::as_arr).unwrap();
@@ -235,14 +252,13 @@ fn reload_during_speculation_stays_consistent() {
     let edited = spec_src(&[1, 4, 5]); // flips f1 recurrence → elementwise
 
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_speculation(&base, ScheduleOptions::sequential(), cache, 4).unwrap();
+    let mut s = open(&base, cache, 4, None);
     s.guru_json(); // spawns background speculation
     s.reload(&edited).unwrap(); // cancels it mid-flight
     let warm = s.analyze();
 
     let fresh_cache = Arc::new(SummaryCache::new());
-    let mut fresh = Session::open(&edited, ScheduleOptions::sequential(), fresh_cache).unwrap();
+    let mut fresh = open(&edited, fresh_cache, 0, None);
     assert_eq!(
         warm.to_string(),
         fresh.analyze().to_string(),
@@ -274,9 +290,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     let fresh = fresh_verdicts(&src);
 
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_persistence(&src, ScheduleOptions::sequential(), cache, 4, Some(&dir))
-            .unwrap();
+    let mut s = open(&src, cache, 4, Some(&dir));
     s.guru_json(); // spawns background speculation over the ranked loops
     s.checkpoint_json().unwrap(); // snapshot races the in-flight prefetch
                                   // The assertion is an epoch-cancel: speculation stops, its pending
@@ -304,9 +318,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     // session must answer exactly what a fresh analysis answers —
     // assertion-marked facts evict on their hash instead of loading.
     let cache = Arc::new(SummaryCache::new());
-    let mut s2 =
-        Session::open_with_persistence(&src, ScheduleOptions::sequential(), cache, 0, Some(&dir))
-            .unwrap();
+    let mut s2 = open(&src, cache, 0, Some(&dir));
     let st = s2.stats_json();
     let snapj = st.get("snapshot").unwrap();
     assert_eq!(snapj.get("status").and_then(Json::as_str), Some("loaded"));

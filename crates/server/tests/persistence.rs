@@ -12,7 +12,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use suif_analysis::{ScheduleOptions, SummaryCache};
 use suif_server::json::Json;
-use suif_server::{Daemon, Session, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+use suif_server::{
+    Daemon, ServiceOptions, ServiceState, Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
+};
 
 const SRC: &str = "program t
 proc inc(real q[*], int n) {
@@ -47,14 +49,17 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn open(dir: &Path) -> Session {
-    Session::open_with_persistence(
-        SRC,
-        ScheduleOptions::sequential(),
-        Arc::new(SummaryCache::new()),
-        0,
-        Some(dir),
-    )
-    .unwrap()
+    open_src(SRC, dir)
+}
+
+/// A sequential session over `src`, persisting into `dir`.
+fn open_src(src: &str, dir: &Path) -> Session {
+    let cfg = SessionConfig {
+        opts: ScheduleOptions::sequential(),
+        persist_dir: Some(dir.to_path_buf()),
+        ..SessionConfig::default()
+    };
+    Session::open_cfg(src, Arc::new(SummaryCache::new()), cfg).unwrap()
 }
 
 fn snapshot_stats(s: &Session) -> Json {
@@ -156,14 +161,7 @@ fn stale_snapshot_entries_are_evicted_not_served() {
         "do 1 i = 1, n {\n  q[i] = q[i] + 1",
         "do 1 i = 2, n {\n  q[i] = q[i - 1] + 1",
     );
-    let s = Session::open_with_persistence(
-        &edited,
-        ScheduleOptions::sequential(),
-        Arc::new(SummaryCache::new()),
-        0,
-        Some(&dir),
-    )
-    .unwrap();
+    let s = open_src(&edited, &dir);
     let snap = snapshot_stats(&s);
     assert_eq!(snap.get("status").and_then(Json::as_str), Some("loaded"));
     assert!(snap.get("evicted_stale").and_then(Json::as_i64).unwrap() > 0);
@@ -355,7 +353,11 @@ fn daemon_checkpoint_and_warm_restart_over_the_wire() {
     let dir = scratch("daemon");
     let src_line = SRC.replace('\n', "\\n");
     let run = |dir: &Path| -> Vec<Json> {
-        let mut d = Daemon::with_options(1, 0, Some(dir.to_path_buf()));
+        let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
+            threads: 1,
+            persist_dir: Some(dir.to_path_buf()),
+            ..ServiceOptions::default()
+        }));
         let input = format!(
             "{}\n{}\n{}\n{}\n{}\n",
             format_args!(r#"{{"cmd":"load","text":"{src_line}"}}"#),

@@ -2,13 +2,11 @@
 # Polyhedral-kernel before/after benchmark with a *real* pre-overhaul
 # baseline.
 #
-# The in-process toggle in bench_poly can only reroute the emptiness proofs
-# and the simplifier; the inline expression representation permeates the
-# whole analysis and cannot be switched off at runtime.  So this script
-# measures the genuine article: it checks the pre-overhaul tree out of git
-# into a scratch worktree, builds `scripts/seed_classify.rs` against it (the
-# same cold sequential-classify workload bench_poly times), runs it on this
-# machine, and feeds the measured wall time to bench_poly via
+# The library carries only the current kernel, so the "before" side has to
+# come from the old tree itself: this script checks the pre-overhaul tree
+# out of git into a scratch worktree, builds `scripts/seed_classify.rs`
+# against it (the same cold sequential-classify workload bench_poly times),
+# runs it on this machine, and feeds the measured wall time to bench_poly via
 # BENCH_POLY_BASELINE_SECS.  bench_poly then emits BENCH_4.json with
 # `total.pre_pr_wall_secs` / `total.speedup` and fails below 1.3x.
 #
