@@ -48,6 +48,7 @@ pub mod enhance;
 pub mod liveness;
 pub mod parallelize;
 pub mod pipeline;
+pub mod plan;
 pub mod reduction;
 pub mod schedule;
 pub mod summarize;
@@ -70,6 +71,7 @@ pub use pipeline::{
     ExecStats, Executor, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId,
     PassMetrics, Scope, StoreByteStats,
 };
+pub use plan::FactPlan;
 pub use reduction::RedOp;
 pub use schedule::{ScheduleOptions, ScheduleStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};

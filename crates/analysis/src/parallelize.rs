@@ -3,18 +3,19 @@
 //! configuration toggles the evaluation ablates and support for checked
 //! user assertions (§2.8).
 
-use crate::cache::{self, Fnv128, SummaryCache};
+use crate::cache::SummaryCache;
 use crate::context::{AnalysisCtx, ArrayKey};
 use crate::deps::DepTest;
 use crate::liveness::{self, LivenessMode, LivenessResult};
 use crate::pipeline::{ExecStats, FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
+use crate::plan::FactPlan;
 use crate::reduction::RedOp;
 use crate::schedule::{self, ScheduleOptions, ScheduleStats};
 use crate::summarize::ArrayDataFlow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use suif_ir::{LoopInfo, Program, Ref, Stmt, StmtId, VarId};
+use suif_ir::{Program, Ref, Stmt, StmtId, VarId};
 use suif_poly::ArrayId;
 
 /// Classification of one storage object within one loop (the Fig. 4-9
@@ -159,6 +160,26 @@ pub struct ProgramAnalysis<'p> {
 }
 
 impl<'p> ProgramAnalysis<'p> {
+    /// Assemble an analysis from the plan it ran under and the facts it
+    /// demanded.
+    fn from_plan(
+        plan: FactPlan<'p>,
+        df: Arc<ArrayDataFlow>,
+        liveness: Option<Arc<LivenessResult>>,
+        verdicts: HashMap<StmtId, LoopVerdict>,
+        config: ParallelizeConfig,
+    ) -> ProgramAnalysis<'p> {
+        ProgramAnalysis {
+            ctx: plan.ctx,
+            df,
+            liveness,
+            verdicts,
+            config,
+            warnings: plan.warnings,
+            epoch_hash: plan.epoch_hash,
+        }
+    }
+
     /// Statement ids of all loops judged parallel.
     pub fn parallel_loops(&self) -> HashSet<StmtId> {
         self.verdicts
@@ -356,18 +377,11 @@ impl Parallelizer {
         // (concurrent analyses on other threads bleed in — acceptable for
         // stats reporting, never used for decisions).
         let poly_before = suif_poly::poly_stats();
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
+        let plan = FactPlan::new(program, &config);
 
-        // Whole-program summaries (§5.2) as one program-scope fact.
+        // Whole-program summaries and liveness (§5.2) as program-scope facts.
         let summarized_before = store.metrics_for(PassId::Summarize).invocations;
-        let summary = store.demand(&SummarizePass {
-            ctx: &ctx,
-            opts,
-            cache,
-            hash: pkey,
-        });
+        let (summary, liveness) = demand_program_facts(&plan, opts, cache, store);
         let df = summary.df.clone();
         let schedule = if store.metrics_for(PassId::Summarize).invocations > summarized_before {
             summary.stats.clone()
@@ -384,24 +398,6 @@ impl Parallelizer {
             }
         };
 
-        // Liveness (§5.2) as a program-scope fact over the summaries.
-        let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
-            store.demand(&LivenessPass {
-                ctx: &ctx,
-                df: &df,
-                mode,
-                hash: h.0,
-            })
-        });
-
-        // Resolve assertions to (loop, object) pairs, collecting a warning
-        // for every assertion that names a missing loop or variable.
-        let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, &config);
-        let epoch_hash = epoch_hash(pkey, &config, &assert_private, &assert_independent);
-
         // Per-loop classification: one loop-scope fact each, keyed by the
         // region's content hash plus exactly the assertions that resolved
         // onto it — asserting one loop re-classifies only that loop.  The
@@ -409,36 +405,19 @@ impl Parallelizer {
         // loop order and verdicts contain no fresh symbols, so the parallel
         // run is observationally identical to the sequential one.
         let exec = opts.executor();
-        let passes: Vec<ClassifyPass<'_, '_>> = ctx
-            .tree
-            .loops
-            .iter()
-            .map(|li| {
-                let lkey = cache::loop_key(li, &proc_keys);
-                let hash = classify_hash(
-                    pkey,
-                    lkey,
-                    &config,
-                    li.stmt,
-                    &assert_private,
-                    &assert_independent,
-                );
-                ClassifyPass {
-                    ctx: &ctx,
-                    df: &df,
-                    liveness: liveness.as_deref(),
-                    config: &config,
-                    li,
-                    hash,
-                    assert_private: &assert_private,
-                    assert_independent: &assert_independent,
-                }
+        let passes: Vec<ClassifyPass<'_, '_>> = (0..plan.ctx.tree.loops.len())
+            .map(|i| ClassifyPass {
+                plan: &plan,
+                df: &df,
+                liveness: liveness.as_deref(),
+                config: &config,
+                i,
             })
             .collect();
         let (facts, demand_exec) = store.demand_all(&passes, &exec);
         drop(passes);
         let mut verdicts = HashMap::new();
-        for (li, verdict) in ctx.tree.loops.iter().zip(facts) {
+        for (li, verdict) in plan.ctx.tree.loops.iter().zip(facts) {
             verdicts.insert(li.stmt, (*verdict).clone());
         }
 
@@ -446,15 +425,7 @@ impl Parallelizer {
         stats.demand_exec = demand_exec;
         stats.poly = suif_poly::poly_stats().since(&poly_before);
         (
-            ProgramAnalysis {
-                ctx,
-                df,
-                liveness,
-                verdicts,
-                config,
-                warnings,
-                epoch_hash,
-            },
+            ProgramAnalysis::from_plan(plan, df, liveness, verdicts, config),
             stats,
         )
     }
@@ -486,29 +457,9 @@ impl Parallelizer {
             out.cancelled = true;
             return out;
         }
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
-        let summary = store.demand(&SummarizePass {
-            ctx: &ctx,
-            opts,
-            cache,
-            hash: pkey,
-        });
+        let plan = FactPlan::new(program, &config);
+        let (summary, liveness) = demand_program_facts(&plan, opts, cache, store);
         let df = summary.df.clone();
-        let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
-            store.demand(&LivenessPass {
-                ctx: &ctx,
-                df: &df,
-                mode,
-                hash: h.0,
-            })
-        });
-        let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, &config);
-        let epoch_hash = epoch_hash(pkey, &config, &assert_private, &assert_independent);
 
         let mut verdicts = HashMap::new();
         let mut stmts: Vec<StmtId> = Vec::new();
@@ -517,45 +468,26 @@ impl Parallelizer {
                 out.cancelled = true;
                 break;
             }
-            let Some(li) = ctx.tree.loops.iter().find(|l| &l.name == name) else {
+            let Some(i) = plan.ctx.tree.loops.iter().position(|l| &l.name == name) else {
                 continue;
             };
-            let lkey = cache::loop_key(li, &proc_keys);
-            let hash = classify_hash(
-                pkey,
-                lkey,
-                &config,
-                li.stmt,
-                &assert_private,
-                &assert_independent,
-            );
+            let stmt = plan.ctx.tree.loops[i].stmt;
             let verdict = store.demand(&ClassifyPass {
-                ctx: &ctx,
+                plan: &plan,
                 df: &df,
                 liveness: liveness.as_deref(),
                 config: &config,
-                li,
-                hash,
-                assert_private: &assert_private,
-                assert_independent: &assert_independent,
+                i,
             });
-            verdicts.insert(li.stmt, (*verdict).clone());
+            verdicts.insert(stmt, (*verdict).clone());
             out.keys
-                .push(FactKey::new(PassId::Classify, Scope::Loop(li.stmt)));
-            stmts.push(li.stmt);
+                .push(FactKey::new(PassId::Classify, Scope::Loop(stmt)));
+            stmts.push(stmt);
         }
 
         // The carried-dependence advisory needs a full analysis view; reuse
         // the facts just demanded.
-        let pa = ProgramAnalysis {
-            ctx,
-            df,
-            liveness,
-            verdicts,
-            config,
-            warnings,
-            epoch_hash,
-        };
+        let pa = ProgramAnalysis::from_plan(plan, df, liveness, verdicts, config);
         for stmt in stmts {
             if cancel() {
                 out.cancelled = true;
@@ -573,46 +505,13 @@ impl Parallelizer {
     /// fact whose stored hash matches the expected one is provably current
     /// (the hashes fold the region content keys, the configuration, and
     /// the resolved assertion marks); anything else is stale and must be
-    /// evicted rather than imported.
+    /// evicted rather than imported.  It reads the same [`FactPlan`] the
+    /// demands above run under.
     pub fn expected_fact_hashes(
         program: &Program,
         config: &ParallelizeConfig,
     ) -> HashMap<FactKey, u128> {
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
-        let mut out = HashMap::new();
-        out.insert(FactKey::new(PassId::Summarize, Scope::Program), pkey);
-        if let Some(mode) = config.liveness {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
-            out.insert(FactKey::new(PassId::Liveness, Scope::Program), h.0);
-        }
-        let (assert_private, assert_independent, _warnings) = resolve_assertions(&ctx, config);
-        let eh = epoch_hash(pkey, config, &assert_private, &assert_independent);
-        for li in &ctx.tree.loops {
-            let lkey = cache::loop_key(li, &proc_keys);
-            out.insert(
-                FactKey::new(PassId::Classify, Scope::Loop(li.stmt)),
-                classify_hash(
-                    pkey,
-                    lkey,
-                    config,
-                    li.stmt,
-                    &assert_private,
-                    &assert_independent,
-                ),
-            );
-            let mut h = Fnv128::new();
-            h.write_u128(eh);
-            h.write_u32(li.stmt.0);
-            out.insert(FactKey::new(PassId::Deps, Scope::Loop(li.stmt)), h.0);
-        }
-        for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
-            out.insert(FactKey::new(pass, Scope::Program), eh);
-        }
-        out
+        FactPlan::new(program, config).fact_hashes()
     }
 }
 
@@ -626,122 +525,24 @@ pub struct PrefetchOutcome {
     pub cancelled: bool,
 }
 
-/// Resolved assertion marks `(stmt, object)`, one set per assertion kind,
-/// plus the warnings for assertions that resolved to nothing.
-type ResolvedAssertions = (
-    HashSet<(StmtId, ArrayId)>,
-    HashSet<(StmtId, ArrayId)>,
-    Vec<String>,
-);
-
-/// Resolve the configured assertions against the region tree; unresolved
-/// ones produce warnings instead of being silently dropped.
-///
-/// Warnings are sorted by source position (the named loop's `do` line, with
-/// loop-less warnings last) and then text, so the order is deterministic
-/// regardless of assertion order or demand schedule.
-fn resolve_assertions(ctx: &AnalysisCtx<'_>, config: &ParallelizeConfig) -> ResolvedAssertions {
-    let program = ctx.program;
-    let mut assert_private: HashSet<(StmtId, ArrayId)> = HashSet::new();
-    let mut assert_independent: HashSet<(StmtId, ArrayId)> = HashSet::new();
-    let mut warnings: Vec<(u32, String)> = Vec::new();
-    for a in &config.assertions {
-        let (kind, loop_name, var, set) = match a {
-            Assertion::Privatizable { loop_name, var } => {
-                ("privatizable", loop_name, var, &mut assert_private)
-            }
-            Assertion::Independent { loop_name, var } => {
-                ("independent", loop_name, var, &mut assert_independent)
-            }
-        };
-        let Some(li) = ctx.tree.loops.iter().find(|l| &l.name == loop_name) else {
-            warnings.push((
-                u32::MAX,
-                format!("unresolved assertion: no loop `{loop_name}` (asserted {kind} `{var}`)"),
-            ));
-            continue;
-        };
-        let proc_name = &program.proc(li.proc).name;
-        match program.var_by_name(proc_name, var) {
-            Some(v) => {
-                set.insert((li.stmt, ctx.array_of(v)));
-            }
-            None => {
-                warnings.push((
-                    li.line,
-                    format!(
-                        "unresolved assertion: no variable `{var}` in `{proc_name}` (asserted {kind} on `{loop_name}`)"
-                    ),
-                ));
-            }
-        }
-    }
-    warnings.sort();
-    warnings.dedup();
-    let warnings = warnings.into_iter().map(|(_, w)| w).collect();
-    (assert_private, assert_independent, warnings)
-}
-
-/// Fingerprint of the resolved assertions restricted to one loop (or to all
-/// loops, for [`epoch_hash`]): sorted, so set iteration order is immaterial.
-fn write_assertion_marks(
-    h: &mut Fnv128,
-    only_loop: Option<StmtId>,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) {
-    let mut marks: Vec<(u32, u32, u8)> = Vec::new();
-    for &(s, id) in assert_private {
-        if only_loop.map(|l| l == s).unwrap_or(true) {
-            marks.push((s.0, id.0, 1));
-        }
-    }
-    for &(s, id) in assert_independent {
-        if only_loop.map(|l| l == s).unwrap_or(true) {
-            marks.push((s.0, id.0, 2));
-        }
-    }
-    marks.sort_unstable();
-    for (s, id, kind) in marks {
-        h.write_u32(s);
-        h.write_u32(id);
-        h.write(&[kind]);
-    }
-}
-
-/// Input hash of one loop's classification fact.
-fn classify_hash(
-    pkey: u128,
-    lkey: u128,
-    config: &ParallelizeConfig,
-    loop_stmt: StmtId,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) -> u128 {
-    let mut h = Fnv128::new();
-    // The program key is part of the hash because classification reads
-    // whole-program facts (summaries and top-down liveness).
-    h.write_u128(pkey);
-    h.write_u128(lkey);
-    h.write(format!("{:?}", config.liveness).as_bytes());
-    h.write(&[config.enable_reduction as u8]);
-    write_assertion_marks(&mut h, Some(loop_stmt), assert_private, assert_independent);
-    h.0
-}
-
-/// Input hash shared by every demand-driven advisory over one analysis.
-fn epoch_hash(
-    pkey: u128,
-    config: &ParallelizeConfig,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) -> u128 {
-    let mut h = Fnv128::new();
-    h.write_u128(pkey);
-    h.write(format!("{:?}", config.liveness).as_bytes());
-    h.write(&[config.enable_reduction as u8]);
-    write_assertion_marks(&mut h, None, assert_private, assert_independent);
-    h.0
+/// Demand the program-scope facts every loop fact reads: the summaries and,
+/// when enabled, liveness over them.
+fn demand_program_facts(
+    plan: &FactPlan<'_>,
+    opts: &ScheduleOptions,
+    cache: Option<&SummaryCache>,
+    store: &FactStore,
+) -> (Arc<SummaryFact>, Option<Arc<LivenessResult>>) {
+    let summary = store.demand(&SummarizePass { plan, opts, cache });
+    let liveness = plan.liveness.map(|(mode, hash)| {
+        store.demand(&LivenessPass {
+            ctx: &plan.ctx,
+            df: &summary.df,
+            mode,
+            hash,
+        })
+    });
+    (summary, liveness)
 }
 
 /// Build the run's [`AnalyzeStats`] from the store-counter delta.
@@ -800,10 +601,9 @@ pub struct SummaryFact {
 }
 
 struct SummarizePass<'a, 'p> {
-    ctx: &'a AnalysisCtx<'p>,
+    plan: &'a FactPlan<'p>,
     opts: &'a ScheduleOptions,
     cache: Option<&'a SummaryCache>,
-    hash: u128,
 }
 
 impl Pass for SummarizePass<'_, '_> {
@@ -812,10 +612,10 @@ impl Pass for SummarizePass<'_, '_> {
         FactKey::new(PassId::Summarize, Scope::Program)
     }
     fn input_hash(&self) -> u128 {
-        self.hash
+        self.plan.program_key
     }
     fn run(&self) -> SummaryFact {
-        let (df, stats) = schedule::run(self.ctx, self.opts, self.cache);
+        let (df, stats) = schedule::run(self.plan, self.opts, self.cache);
         SummaryFact {
             df: Arc::new(df),
             stats,
@@ -846,24 +646,25 @@ impl Pass for LivenessPass<'_, '_> {
     }
 }
 
+/// The classification of loop `i` (in `plan.ctx.tree.loops` order).
 struct ClassifyPass<'a, 'p> {
-    ctx: &'a AnalysisCtx<'p>,
+    plan: &'a FactPlan<'p>,
     df: &'a ArrayDataFlow,
     liveness: Option<&'a LivenessResult>,
     config: &'a ParallelizeConfig,
-    li: &'a LoopInfo,
-    hash: u128,
-    assert_private: &'a HashSet<(StmtId, ArrayId)>,
-    assert_independent: &'a HashSet<(StmtId, ArrayId)>,
+    i: usize,
 }
 
 impl Pass for ClassifyPass<'_, '_> {
     type Output = LoopVerdict;
     fn key(&self) -> FactKey {
-        FactKey::new(PassId::Classify, Scope::Loop(self.li.stmt))
+        FactKey::new(
+            PassId::Classify,
+            Scope::Loop(self.plan.ctx.tree.loops[self.i].stmt),
+        )
     }
     fn input_hash(&self) -> u128 {
-        self.hash
+        self.plan.classify_hashes[self.i]
     }
     fn deps(&self) -> Vec<FactKey> {
         let mut d = vec![FactKey::new(PassId::Summarize, Scope::Program)];
@@ -873,85 +674,38 @@ impl Pass for ClassifyPass<'_, '_> {
         d
     }
     fn run(&self) -> LoopVerdict {
-        let dt = DepTest {
-            ctx: self.ctx,
-            df: self.df,
+        let FactPlan {
+            ctx,
+            assert_private,
+            assert_independent,
+            ..
+        } = self.plan;
+        let (df, li) = (self.df, &ctx.tree.loops[self.i]);
+        let (loop_stmt, has_io) = (li.stmt, li.has_io);
+        let dt = DepTest { ctx, df };
+        let mut classes: BTreeMap<ArrayId, VarClass> = BTreeMap::new();
+        let mut plan = LoopPlan::default();
+        let mut deps: Vec<StaticDep> = Vec::new();
+
+        let Some(iter) = df.loop_iter.get(&loop_stmt) else {
+            return LoopVerdict::Sequential {
+                deps,
+                has_io,
+                classes,
+            };
         };
-        classify_loop(
-            self.ctx,
-            self.df,
-            &dt,
-            self.liveness,
-            self.config,
-            self.li.stmt,
-            self.li.has_io,
-            self.assert_private,
-            self.assert_independent,
-        )
-    }
-}
+        let index_object = ctx.array_of(li.var);
 
-#[allow(clippy::too_many_arguments)]
-fn classify_loop(
-    ctx: &AnalysisCtx<'_>,
-    df: &ArrayDataFlow,
-    dt: &DepTest<'_, '_>,
-    liveness: Option<&LivenessResult>,
-    config: &ParallelizeConfig,
-    loop_stmt: StmtId,
-    has_io: bool,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) -> LoopVerdict {
-    let mut classes: BTreeMap<ArrayId, VarClass> = BTreeMap::new();
-    let mut plan = LoopPlan::default();
-    let mut deps: Vec<StaticDep> = Vec::new();
-
-    let Some(iter) = df.loop_iter.get(&loop_stmt) else {
-        return LoopVerdict::Sequential {
-            deps,
-            has_io,
-            classes,
-        };
-    };
-    let li = ctx.tree.loop_of(loop_stmt).expect("loop");
-    let index_object = ctx.array_of(li.var);
-
-    let objects: BTreeSet<ArrayId> = iter.sum.acc.arrays().collect();
-    for id in objects {
-        if id == index_object {
-            continue; // the induction variable is handled by the runtime
-        }
-        if assert_independent.contains(&(loop_stmt, id)) {
-            classes.insert(id, VarClass::Parallel);
-            continue;
-        }
-        if assert_private.contains(&(loop_stmt, id)) {
-            classes.insert(
-                id,
-                VarClass::Privatizable {
-                    needs_finalization: false,
-                },
-            );
-            plan.private.push(ctx.key_of_id(id));
-            continue;
-        }
-        if dt.has_carried_dep(loop_stmt, id).is_none() {
-            classes.insert(id, VarClass::Parallel);
-            continue;
-        }
-        if config.enable_reduction {
-            if let Some(op) = dt.reduction_of(loop_stmt, id) {
-                classes.insert(id, VarClass::Reduction(op));
-                plan.reductions.push((ctx.key_of_id(id), op));
+        let objects: BTreeSet<ArrayId> = iter.sum.acc.arrays().collect();
+        for id in objects {
+            if id == index_object {
+                continue; // the induction variable is handled by the runtime
+            }
+            if assert_independent.contains(&(loop_stmt, id)) {
+                classes.insert(id, VarClass::Parallel);
                 continue;
             }
-        }
-        if dt.is_privatizable(loop_stmt, id) {
-            let dead_after = liveness
-                .map(|lv| lv.is_dead_after(loop_stmt, id))
-                .unwrap_or(false);
-            if dead_after {
+            if assert_private.contains(&(loop_stmt, id)) {
                 classes.insert(
                     id,
                     VarClass::Privatizable {
@@ -961,30 +715,57 @@ fn classify_loop(
                 plan.private.push(ctx.key_of_id(id));
                 continue;
             }
-            if dt.writes_iteration_invariant(loop_stmt, id) {
-                classes.insert(
-                    id,
-                    VarClass::Privatizable {
-                        needs_finalization: true,
-                    },
-                );
-                plan.finalize_last.push(ctx.key_of_id(id));
+            if dt.has_carried_dep(loop_stmt, id).is_none() {
+                classes.insert(id, VarClass::Parallel);
                 continue;
             }
+            if self.config.enable_reduction {
+                if let Some(op) = dt.reduction_of(loop_stmt, id) {
+                    classes.insert(id, VarClass::Reduction(op));
+                    plan.reductions.push((ctx.key_of_id(id), op));
+                    continue;
+                }
+            }
+            if dt.is_privatizable(loop_stmt, id) {
+                let dead_after = self
+                    .liveness
+                    .map(|lv| lv.is_dead_after(loop_stmt, id))
+                    .unwrap_or(false);
+                if dead_after {
+                    classes.insert(
+                        id,
+                        VarClass::Privatizable {
+                            needs_finalization: false,
+                        },
+                    );
+                    plan.private.push(ctx.key_of_id(id));
+                    continue;
+                }
+                if dt.writes_iteration_invariant(loop_stmt, id) {
+                    classes.insert(
+                        id,
+                        VarClass::Privatizable {
+                            needs_finalization: true,
+                        },
+                    );
+                    plan.finalize_last.push(ctx.key_of_id(id));
+                    continue;
+                }
+            }
+            // Unresolved.
+            classes.insert(id, VarClass::Dep);
+            deps.push(static_dep_info(ctx, df, loop_stmt, id));
         }
-        // Unresolved.
-        classes.insert(id, VarClass::Dep);
-        deps.push(static_dep_info(ctx, df, loop_stmt, id));
-    }
 
-    if has_io || !deps.is_empty() {
-        LoopVerdict::Sequential {
-            deps,
-            has_io,
-            classes,
+        if has_io || !deps.is_empty() {
+            LoopVerdict::Sequential {
+                deps,
+                has_io,
+                classes,
+            }
+        } else {
+            LoopVerdict::Parallel { plan, classes }
         }
-    } else {
-        LoopVerdict::Parallel { plan, classes }
     }
 }
 

@@ -8,19 +8,18 @@
 //!
 //! Parallel results are bit-identical to the sequential pass because
 //! [`summarize_proc`] draws fresh symbols from each procedure's own id block
-//! ([`AnalysisCtx::with_fresh_block`]) and array ids are interned before the
-//! pass starts — no observable state depends on thread placement or
-//! completion order.  The final [`ArrayDataFlow`] is merged in deterministic
+//! ([`crate::AnalysisCtx::with_fresh_block`]) and array ids are interned
+//! before the pass starts — no observable state depends on thread placement
+//! or completion order.  The final [`ArrayDataFlow`] is merged in deterministic
 //! bottom-up order after all levels complete.
 //!
-//! When a [`SummaryCache`] is supplied, each procedure's content key
-//! ([`proc_key`]) is computed level-by-level and the summarization is
-//! skipped on a hit — this is what makes the daemon's `reload`
-//! incremental.
+//! When a [`SummaryCache`] is supplied, each procedure is looked up under
+//! its content key from the [`FactPlan`] and the summarization is skipped
+//! on a hit — this is what makes the daemon's `reload` incremental.
 
-use crate::cache::{proc_key, SummaryCache};
-use crate::context::AnalysisCtx;
+use crate::cache::SummaryCache;
 use crate::pipeline::Executor;
+use crate::plan::FactPlan;
 use crate::summarize::{summarize_proc, ArrayDataFlow, ProcFlow};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -117,19 +116,19 @@ pub fn levels(cg: &CallGraph) -> Vec<Vec<ProcId>> {
     out
 }
 
-/// Run the bottom-up pass over the whole program and return the merged
+/// Run the bottom-up pass over the plan's program and return the merged
 /// data-flow result plus scheduling statistics.
 pub fn run(
-    ctx: &AnalysisCtx<'_>,
+    plan: &FactPlan<'_>,
     opts: &ScheduleOptions,
     cache: Option<&SummaryCache>,
 ) -> (ArrayDataFlow, ScheduleStats) {
     let t0 = Instant::now();
+    let (ctx, keys) = (&plan.ctx, &plan.proc_keys);
     let lvls = levels(&ctx.cg);
     let exec = opts.executor();
     let threads = exec.threads().max(1);
     let mut flows: HashMap<ProcId, Arc<ProcFlow>> = HashMap::new();
-    let mut keys: HashMap<ProcId, u128> = HashMap::new();
     let mut stats = ScheduleStats {
         threads,
         levels: lvls.len(),
@@ -139,14 +138,6 @@ pub fn run(
     let mut proc_secs: HashMap<ProcId, f64> = HashMap::new();
 
     for level in &lvls {
-        // Content keys depend only on lower levels; compute them up front so
-        // workers share one immutable map.
-        if cache.is_some() {
-            for &pid in level {
-                let k = proc_key(ctx, pid, &keys);
-                keys.insert(pid, k);
-            }
-        }
         let done: Mutex<Vec<LevelResult>> = Mutex::new(Vec::with_capacity(level.len()));
         let level_stats = exec.run(level.len(), |i| {
             let pid = level[i];
@@ -200,6 +191,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnalysisCtx, ParallelizeConfig};
     use suif_ir::parse_program;
 
     const SRC: &str = "program t
@@ -248,9 +240,9 @@ proc main() {
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
         let p = parse_program(SRC).unwrap();
-        let ctx = AnalysisCtx::new(&p);
-        let seq = ArrayDataFlow::analyze(&ctx);
-        let (par, stats) = run(&ctx, &ScheduleOptions { threads: 4 }, None);
+        let plan = FactPlan::new(&p, &ParallelizeConfig::default());
+        let seq = ArrayDataFlow::analyze(&plan.ctx);
+        let (par, stats) = run(&plan, &ScheduleOptions { threads: 4 }, None);
         assert_eq!(df_fingerprint(&seq), df_fingerprint(&par));
         assert_eq!(stats.summarized, 4);
         assert_eq!(stats.cache_hits, 0);
@@ -259,11 +251,11 @@ proc main() {
     #[test]
     fn warm_cache_summarizes_nothing() {
         let p = parse_program(SRC).unwrap();
-        let ctx = AnalysisCtx::new(&p);
+        let plan = FactPlan::new(&p, &ParallelizeConfig::default());
         let cache = SummaryCache::new();
-        let (cold, s1) = run(&ctx, &ScheduleOptions::sequential(), Some(&cache));
+        let (cold, s1) = run(&plan, &ScheduleOptions::sequential(), Some(&cache));
         assert_eq!(s1.summarized, 4);
-        let (warm, s2) = run(&ctx, &ScheduleOptions { threads: 4 }, Some(&cache));
+        let (warm, s2) = run(&plan, &ScheduleOptions { threads: 4 }, Some(&cache));
         assert_eq!(s2.summarized, 0, "warm run must re-summarize nothing");
         assert_eq!(s2.cache_hits, 4);
         assert_eq!(df_fingerprint(&cold), df_fingerprint(&warm));

@@ -51,6 +51,7 @@ use crate::summarize::{ArrayDataFlow, LoopIterSummary, NodeSummary};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use suif_ir::{CommonId, ProcId, RegionId, StmtId, VarId};
@@ -120,23 +121,6 @@ pub struct Snapshot {
     pub undecodable: u64,
 }
 
-/// Is this pass's value persisted in snapshots?  Every pass is, since
-/// format version 3 gave `Summarize` and `Liveness` wire forms; the
-/// predicate remains the single gate a future non-encodable pass would
-/// flip.
-pub fn is_encodable(pass: PassId) -> bool {
-    matches!(
-        pass,
-        PassId::Summarize
-            | PassId::Liveness
-            | PassId::Classify
-            | PassId::Deps
-            | PassId::Contract
-            | PassId::Decomp
-            | PassId::Split
-    )
-}
-
 /// Approximate resident bytes of one fact value, by pass.
 ///
 /// Measures the wire form (the in-memory layout tracks it within a small
@@ -162,13 +146,11 @@ fn payload_checksum(payload: &[u8]) -> u128 {
 }
 
 impl Snapshot {
-    /// Build a snapshot from exported store entries (non-encodable passes
-    /// are filtered out) and memo entries.
+    /// Build a snapshot from exported store entries and memo entries.
     pub fn new(
         mut facts: Vec<ExportedFact>,
         prove_empty: Vec<(Vec<Constraint>, bool)>,
     ) -> Snapshot {
-        facts.retain(|f| is_encodable(f.key.pass));
         facts.sort_by_key(|f| f.key);
         Snapshot {
             facts,
@@ -275,7 +257,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         }
         let vlen = d.u32().ok_or(SnapshotError::Malformed)? as usize;
         let vbytes = d.take(vlen).ok_or(SnapshotError::Malformed)?;
-        let Some(pass) = pass_of(pass_byte).filter(|p| is_encodable(*p) && deps_ok) else {
+        let Some(pass) = pass_of(pass_byte).filter(|_| deps_ok) else {
             snap.undecodable += 1;
             continue;
         };
@@ -313,16 +295,20 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// then rename.  A crash mid-write leaves the previous snapshot (or no
-/// file) — never a torn one under POSIX rename semantics.
+/// file) — never a torn one under POSIX rename semantics.  The temp name
+/// is unique per call (pid plus a process-wide counter), so concurrent
+/// writers to one path never share a temp file; the last rename wins.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     std::fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         path.file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "snapshot".into()),
-        std::process::id()
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&tmp, bytes)?;
     match std::fs::rename(&tmp, path) {
@@ -368,6 +354,30 @@ pub fn file_checksum(bytes: &[u8]) -> Option<u128> {
         return None;
     }
     Some(u128::from_le_bytes(bytes[20..36].try_into().unwrap()))
+}
+
+/// What [`write_base`] wrote.
+pub struct BaseWritten {
+    /// The new base's payload checksum, which the fresh log is bound to.
+    pub checksum: u128,
+    /// Bytes of the base image (the fresh log is [`LOG_HEADER_LEN`]).
+    pub base_bytes: usize,
+}
+
+/// Write `snap` as a fresh base image at `base`, then reset the log at
+/// `log` to a header bound to it.  The order is the crash rule: both writes
+/// are atomic, and a crash between them leaves the new base with the *old*
+/// log, whose binding checksum no longer matches — the stale log is ignored
+/// on load, so the crash costs recomputation, never correctness.
+pub fn write_base(base: &Path, log: &Path, snap: &Snapshot) -> std::io::Result<BaseWritten> {
+    let bytes = snap.encode();
+    write_atomic(base, &bytes)?;
+    let checksum = file_checksum(&bytes).expect("encoded snapshot has a header");
+    write_atomic(log, &log_header(checksum))?;
+    Ok(BaseWritten {
+        checksum,
+        base_bytes: bytes.len(),
+    })
 }
 
 /// Encode one framed append-log record: `len(u32) · FNV-128 checksum ·
@@ -520,8 +530,11 @@ pub fn merge_image(
     // key-addressed session store the extra variants are harmless — its
     // expected-hash validation keeps exactly one per key and evicts the
     // rest as stale.
-    let mut merged: HashMap<(FactKey, u128), ExportedFact> =
-        base.facts.into_iter().map(|f| ((f.key, f.hash), f)).collect();
+    let mut merged: HashMap<(FactKey, u128), ExportedFact> = base
+        .facts
+        .into_iter()
+        .map(|f| ((f.key, f.hash), f))
+        .collect();
     match log_bytes {
         None => {}
         Some(lb) => match replay_log(lb, base_checksum) {
@@ -1744,6 +1757,31 @@ mod tests {
         write_atomic(&path, &small).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), small);
         // No temp files left behind.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_succeed() {
+        // Two tenants checkpointing into one persist directory write the
+        // same path from one process at once.
+        let dir = std::env::temp_dir().join(format!("suif_snap_race_{}", std::process::id()));
+        let path = dir.join("facts.snap");
+        let images: Vec<Vec<u8>> = (0..4u8).map(|t| vec![t; 256 * 1024]).collect();
+        std::thread::scope(|s| {
+            for img in &images {
+                let path = &path;
+                s.spawn(move || {
+                    for round in 0..25 {
+                        if let Err(e) = write_atomic(path, img) {
+                            panic!("round {round}: concurrent write failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let on_disk = std::fs::read(&path).unwrap();
+        assert!(images.contains(&on_disk), "the file is one whole image");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

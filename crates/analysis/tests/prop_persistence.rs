@@ -5,12 +5,18 @@
 //! freshly computed expected input hashes, (c) re-serve the analysis with
 //! **zero** invocations of any persisted pass, and (d) after invalidating
 //! `N` loop classifications, recompute **exactly `N`** of them.
+//!
+//! The warm-start contract holds for every pass and every config: whatever
+//! the demands store — summaries, liveness, classify, carried deps and the
+//! three advisories, under the default config and under one carrying a
+//! resolved assertion — is stored under exactly the hash
+//! [`Parallelizer::expected_fact_hashes`] predicts.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use suif_analysis::{
-    FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis, ScheduleOptions,
-    Scope, Snapshot,
+    Assertion, FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis,
+    ScheduleOptions, Scope, Snapshot,
 };
 
 /// A generated program: `n` leaf procedures (elementwise when the constant
@@ -34,6 +40,42 @@ fn gen_src(consts: &[i64]) -> String {
     }
     s.push_str(" print b[3]\n}\n");
     s
+}
+
+/// Demand every fact an interactive session can: the analysis, the
+/// classify and carried-deps facts of every loop, and the three advisories.
+fn demand_everything<'p>(
+    program: &'p suif_ir::Program,
+    config: &ParallelizeConfig,
+    store: &FactStore,
+) -> ProgramAnalysis<'p> {
+    let opts = ScheduleOptions { threads: 1 };
+    let (pa, _) = Parallelizer::analyze_in(program, config.clone(), &opts, None, store);
+    let names: Vec<String> = pa.ctx.tree.loops.iter().map(|l| l.name.clone()).collect();
+    Parallelizer::prefetch_loops(program, config.clone(), &opts, None, store, &names, &|| {
+        false
+    });
+    suif_analysis::contract::find_candidates_cached(&pa, store);
+    suif_analysis::decomp::advisory_cached(&pa, store);
+    suif_analysis::split::find_splits_cached(&pa, store);
+    pa
+}
+
+/// Every stored fact carries the hash the warm-start validator expects, and
+/// every pass stored at least one fact.
+fn check_stored_hashes(
+    program: &suif_ir::Program,
+    config: &ParallelizeConfig,
+    store: &FactStore,
+) -> Result<(), TestCaseError> {
+    let expected = Parallelizer::expected_fact_hashes(program, config);
+    let exported = store.export();
+    for f in &exported {
+        prop_assert_eq!(expected.get(&f.key).copied(), Some(f.hash), "{:?}", f.key);
+    }
+    let passes: BTreeSet<PassId> = exported.iter().map(|f| f.key.pass).collect();
+    prop_assert_eq!(passes.len(), 7, "every pass stored a fact: {:?}", passes);
+    Ok(())
 }
 
 /// Loop-name → verdict Debug repr; the observational fingerprint.
@@ -60,13 +102,13 @@ proptest! {
         let opts = ScheduleOptions { threads: 1 };
 
         // Cold analysis, plus a prefetch of every loop so the store also
-        // holds carried-dependence facts (the slice answers).
+        // holds carried-dependence facts (the slice answers), plus the
+        // three advisories.
         let store = FactStore::new();
-        let (pa, _) = Parallelizer::analyze_in(&program, config.clone(), &opts, None, &store);
+        let pa = demand_everything(&program, &config, &store);
         let cold = fingerprint(&pa);
         let names: Vec<String> = pa.ctx.tree.loops.iter().map(|l| l.name.clone()).collect();
-        Parallelizer::prefetch_loops(
-            &program, config.clone(), &opts, None, &store, &names, &|| false);
+        check_stored_hashes(&program, &config, &store)?;
 
         // Export → encode → decode: nothing dropped, and re-encoding the
         // decoded snapshot reproduces the original bytes (golden round trip).
@@ -88,8 +130,9 @@ proptest! {
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Classify, Scope::Loop(li.stmt))));
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Deps, Scope::Loop(li.stmt))));
         }
-        prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Summarize, Scope::Program)));
-        prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Liveness, Scope::Program)));
+        for pass in [PassId::Summarize, PassId::Liveness, PassId::Contract, PassId::Decomp, PassId::Split] {
+            prop_assert!(persisted_keys.contains(&FactKey::new(pass, Scope::Program)));
+        }
 
         // Warm-start validation: the program did not change, so every
         // decoded entry matches its freshly computed expected input hash.
@@ -135,9 +178,30 @@ proptest! {
             warm.invalidate(FactKey::new(PassId::Classify, Scope::Loop(*stmt)));
         }
         let before = warm.metrics_for(PassId::Classify).invocations;
-        let (re_pa, _) = Parallelizer::analyze_in(&program, config, &opts, None, &warm);
+        let (re_pa, _) = Parallelizer::analyze_in(&program, config.clone(), &opts, None, &warm);
         let after = warm.metrics_for(PassId::Classify).invocations;
         prop_assert_eq!(after - before, doomed.len() as u64);
         prop_assert_eq!(&cold, &fingerprint(&re_pa));
+
+        // A config carrying one resolved assertion: its demands store every
+        // pass under the hashes the validator expects for that config, and
+        // the assertion moves the asserted loop's classify hash.
+        let asserted = ParallelizeConfig {
+            assertions: vec![Assertion::Independent {
+                loop_name: "main/9".into(),
+                var: "b".into(),
+            }],
+            ..config.clone()
+        };
+        let asserted_store = FactStore::new();
+        let asserted_pa = demand_everything(&program, &asserted, &asserted_store);
+        prop_assert!(asserted_pa.warnings.is_empty(), "{:?}", asserted_pa.warnings);
+        check_stored_hashes(&program, &asserted, &asserted_store)?;
+        let main9 = asserted_pa.ctx.tree.loops.iter().find(|l| l.name == "main/9").unwrap();
+        let key = FactKey::new(PassId::Classify, Scope::Loop(main9.stmt));
+        prop_assert!(
+            Parallelizer::expected_fact_hashes(&program, &asserted)[&key]
+                != Parallelizer::expected_fact_hashes(&program, &config)[&key]
+        );
     }
 }

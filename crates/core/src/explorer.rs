@@ -284,11 +284,9 @@ impl<'p> Explorer<'p> {
         suif_analysis::deps::carried_deps_cached(&self.analysis, &self.store, loop_stmt)
     }
 
-    /// Demand all three program-scope advisories at once, fanned out across
-    /// the session's executor: on a cold store the contraction, decomposition
-    /// and block-split facts compute concurrently (they are independent
-    /// leaves over the same analysis); on a warm store all three are reuse
-    /// hits.  Results are identical to three sequential demands.
+    /// Demand all three program-scope advisories (contraction,
+    /// decomposition, block splits): independent leaves over the same
+    /// analysis, computed on a cold store and reuse hits on a warm one.
     pub fn all_advisories(
         &self,
     ) -> (
@@ -296,35 +294,11 @@ impl<'p> Explorer<'p> {
         Arc<DecompFact>,
         Arc<Vec<BlockSplit>>,
     ) {
-        let exec = self.opts.executor();
-        let contract = std::sync::Mutex::new(None);
-        let decomp = std::sync::Mutex::new(None);
-        let split = std::sync::Mutex::new(None);
-        exec.run(3, |i| match i {
-            0 => *contract.lock().unwrap() = Some(self.contractions()),
-            1 => *decomp.lock().unwrap() = Some(self.decomp_advisory()),
-            _ => *split.lock().unwrap() = Some(self.block_splits()),
-        });
         (
-            contract.into_inner().unwrap().expect("contract advisory"),
-            decomp.into_inner().unwrap().expect("decomp advisory"),
-            split.into_inner().unwrap().expect("split advisory"),
+            self.contractions(),
+            self.decomp_advisory(),
+            self.block_splits(),
         )
-    }
-
-    /// Demand the carried-dependence tables of many loops, fanned out across
-    /// the session's executor; results come back in input order.
-    pub fn carried_deps_all(&self, loops: &[StmtId]) -> Vec<Arc<CarriedDeps>> {
-        let exec = self.opts.executor();
-        let slots: Vec<std::sync::Mutex<Option<Arc<CarriedDeps>>>> =
-            loops.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        exec.run(loops.len(), |i| {
-            *slots[i].lock().unwrap() = Some(self.carried_deps(loops[i]));
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("deps fact"))
-            .collect()
     }
 }
 

@@ -438,10 +438,9 @@ impl Polyhedron {
     /// Results are memoized: the analyses re-ask the same emptiness
     /// questions constantly (every transfer-function subtraction and every
     /// dependence test), and constraint systems are plain integer data, so
-    /// caching is exact.  The memo is two-level — a thread-local L1 in front
-    /// of a sharded process-wide table — so parallel scheduler workers share
-    /// proofs across threads and across analysis runs without contending on
-    /// the hot path.
+    /// caching is exact.  The memo is one sharded process-wide table, so
+    /// parallel scheduler workers share proofs across threads and across
+    /// analysis runs.
     pub fn prove_empty(&self) -> bool {
         if self.empty {
             return true;
@@ -453,22 +452,7 @@ impl Polyhedron {
         // so identical queries produce identical lists).  Look up by slice so
         // the common case (a hit) never clones the constraints.
         let g = global_prove_empty_cache();
-        let epoch = g.epoch.load(Ordering::Acquire);
-        let l1_hit = PROVE_EMPTY_L1.with(|cache| {
-            let mut c = cache.borrow_mut();
-            if c.epoch != epoch {
-                // The global cache was cleared since this thread last looked:
-                // drop the now-invalid L1 wholesale.
-                c.epoch = epoch;
-                c.map.clear();
-            }
-            c.map.get(self.constraints.as_slice()).copied()
-        });
-        if let Some(hit) = l1_hit {
-            g.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Global lookup with in-flight deduplication: a miss inserts a
+        // Lookup with in-flight deduplication: a miss inserts a
         // `Running` marker and computes outside the lock; concurrent demands
         // for the same system block on the shard's condvar and share the
         // result instead of recomputing it.  (Without this, parallel
@@ -478,11 +462,11 @@ impl Polyhedron {
         // but the recursion graph is acyclic — a cycle would already be
         // infinite recursion sequentially — so waiting cannot deadlock.
         let shard = g.shard_of(self.constraints.as_slice());
-        let result = loop {
+        loop {
             let mut m = shard.map.lock();
             match m.get(self.constraints.as_slice()) {
                 Some(ProveSlot::Done(r)) => {
-                    g.hits.fetch_add(1, Ordering::Relaxed);
+                    shard.hits.fetch_add(1, Ordering::Relaxed);
                     break *r;
                 }
                 Some(ProveSlot::Running) => {
@@ -514,7 +498,7 @@ impl Polyhedron {
             };
             let result = self.prove_empty_uncached();
             claim.armed = false;
-            g.misses.fetch_add(1, Ordering::Relaxed);
+            shard.misses.fetch_add(1, Ordering::Relaxed);
             let mut m = shard.map.lock();
             if m.len() > 100_000 {
                 // Evict finished entries only: a `Running` marker has live
@@ -525,15 +509,7 @@ impl Polyhedron {
             drop(m);
             shard.done.notify_all();
             break result;
-        };
-        PROVE_EMPTY_L1.with(|cache| {
-            let mut c = cache.borrow_mut();
-            if c.map.len() > 100_000 {
-                c.map.clear();
-            }
-            c.map.insert(self.constraints.clone(), result);
-        });
-        result
+        }
     }
 
     /// Staged emptiness ladder: cheap tests that never eliminate a variable
@@ -1395,35 +1371,28 @@ pub fn subscript_pair_disjoint(
 }
 
 /// Clear the emptiness-proof memo (benchmark support: lets repeated timing
-/// runs start cold).  The process-wide table is
-/// emptied immediately; other threads' L1 tables are invalidated lazily via
-/// an epoch bump the next time they consult the cache.  Because the memo is
-/// exact (a pure function of the constraint system), a racing insert that
-/// lands after the clear is still correct — clearing only affects memory and
-/// timing, never results.
+/// runs start cold).  Because the memo is exact (a pure function of the
+/// constraint system), a racing insert that lands after the clear is still
+/// correct — clearing only affects memory and timing, never results.
 pub fn clear_prove_empty_cache() {
-    let g = global_prove_empty_cache();
-    g.epoch.fetch_add(1, Ordering::AcqRel);
-    for s in &g.shards {
+    for s in &global_prove_empty_cache().shards {
         // In-flight markers survive a clear: their runners are live and
         // will finish (and notify) normally; only finished proofs drop.
         s.map.lock().retain(|_, v| matches!(v, ProveSlot::Running));
     }
-    PROVE_EMPTY_L1.with(|cache| {
-        let mut c = cache.borrow_mut();
-        c.map.clear();
-        c.epoch = g.epoch.load(Ordering::Acquire);
-    });
 }
 
-/// `(hits, misses)` of the emptiness-proof memo since process start
-/// (L1 hits count as hits).
+/// `(hits, misses)` of the emptiness-proof memo since process start.
 pub fn prove_empty_cache_counters() -> (u64, u64) {
-    let g = global_prove_empty_cache();
-    (
-        g.hits.load(Ordering::Relaxed),
-        g.misses.load(Ordering::Relaxed),
-    )
+    global_prove_empty_cache()
+        .shards
+        .iter()
+        .fold((0, 0), |(h, m), s| {
+            (
+                h + s.hits.load(Ordering::Relaxed),
+                m + s.misses.load(Ordering::Relaxed),
+            )
+        })
 }
 
 /// Export every *finished* emptiness proof from the process-wide memo, for
@@ -1478,8 +1447,6 @@ pub fn import_prove_empty_memo(entries: &[(Vec<Constraint>, bool)]) -> usize {
 
 const PROVE_EMPTY_SHARDS: usize = 16;
 
-type ProveEmptyMap = std::collections::HashMap<Vec<Constraint>, bool>;
-
 /// One global-memo entry: the finished proof, or a marker that some thread
 /// is computing it right now (waiters block on the shard's condvar).
 enum ProveSlot {
@@ -1487,21 +1454,19 @@ enum ProveSlot {
     Done(bool),
 }
 
-/// One shard of the global memo: slot map plus the condvar `Running`
-/// waiters sleep on.
+/// One shard of the global memo: slot map, the condvar `Running` waiters
+/// sleep on, and the shard's hit/miss counters (per shard, so concurrent
+/// workers do not contend on one counter for every lookup).
 struct ProveShard {
     map: parking_lot::Mutex<std::collections::HashMap<Vec<Constraint>, ProveSlot>>,
     done: parking_lot::Condvar,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// Process-wide memo for [`Polyhedron::prove_empty`]; exact (integer data).
 struct GlobalProveEmptyCache {
     shards: [ProveShard; PROVE_EMPTY_SHARDS],
-    /// Bumped by [`clear_prove_empty_cache`]; L1 tables holding an older
-    /// epoch discard themselves before use.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl GlobalProveEmptyCache {
@@ -1524,22 +1489,10 @@ fn global_prove_empty_cache() -> &'static GlobalProveEmptyCache {
         shards: std::array::from_fn(|_| ProveShard {
             map: parking_lot::Mutex::new(std::collections::HashMap::new()),
             done: parking_lot::Condvar::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }),
-        epoch: AtomicU64::new(1),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
     })
-}
-
-/// Per-thread L1 in front of the global memo: hot lookups touch no lock.
-struct ProveEmptyL1 {
-    epoch: u64,
-    map: ProveEmptyMap,
-}
-
-thread_local! {
-    static PROVE_EMPTY_L1: std::cell::RefCell<ProveEmptyL1> =
-        std::cell::RefCell::new(ProveEmptyL1 { epoch: 0, map: ProveEmptyMap::new() });
 }
 
 impl fmt::Display for Polyhedron {

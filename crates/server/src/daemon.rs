@@ -43,14 +43,14 @@ use crate::proto::{
     err_response, ok_response, request_id, Frame, FrameDecoder, Request, MAX_LINE_BYTES,
 };
 use crate::reactor::{Event, Interest, Poller, WakePipe};
-use crate::session::{Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+use crate::session::{Session, SessionConfig};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use suif_analysis::{snapshot, ExecutorService, ScheduleOptions, SharedFactTier, SummaryCache};
+use suif_analysis::{ExecutorService, ScheduleOptions, SharedFactTier, SummaryCache};
 
 /// Everything that shapes a daemon service, across all its sessions.
 #[derive(Clone, Debug, Default)]
@@ -179,14 +179,7 @@ impl ServiceState {
         let Some(dir) = &self.persist_dir else {
             return Ok(None);
         };
-        let path = dir.join(SNAPSHOT_FILE);
-        let snap =
-            snapshot::Snapshot::new(self.tier.export(), suif_poly::export_prove_empty_memo());
-        let bytes = snap.encode();
-        snapshot::write_atomic(&path, &bytes)?;
-        let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
-        snapshot::write_atomic(&dir.join(SNAPSHOT_LOG_FILE), &snapshot::log_header(checksum))?;
-        Ok(Some((snap.facts.len(), bytes.len())))
+        crate::corpus::save_tier_snapshot(dir, &self.tier).map(Some)
     }
 
     /// Reserve a session slot, or fail when the registry is full.

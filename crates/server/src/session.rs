@@ -447,22 +447,16 @@ impl Session {
         out
     }
 
-    /// Write the full durable state as a fresh base image, then reset the
-    /// log to a header bound to it.  Both writes are atomic; a crash
-    /// between them leaves the new base with the *old* log, whose binding
-    /// checksum no longer matches — the stale log is ignored on load, so
-    /// the crash costs recomputation, never correctness.
+    /// Write the full durable state as a fresh base image and reset the log
+    /// to a header bound to it ([`snapshot::write_base`], which also owns
+    /// the crash-ordering rule).
     fn rewrite_base(&mut self) -> std::io::Result<(usize, usize)> {
         let snap = snapshot::Snapshot::new(self.export_all(), suif_poly::export_prove_empty_memo());
-        let bytes = snap.encode();
         let ps = self.persist.as_mut().unwrap();
-        snapshot::write_atomic(&ps.base, &bytes)?;
-        let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
-        let header = snapshot::log_header(checksum);
-        snapshot::write_atomic(&ps.log, &header)?;
-        ps.base_checksum = checksum;
-        ps.base_bytes = bytes.len() as u64;
-        ps.log_bytes = header.len() as u64;
+        let w = snapshot::write_base(&ps.base, &ps.log, &snap)?;
+        ps.base_checksum = w.checksum;
+        ps.base_bytes = w.base_bytes as u64;
+        ps.log_bytes = snapshot::LOG_HEADER_LEN as u64;
         ps.needs_base = false;
         ps.persisted = snap.facts.iter().map(|f| (f.key, f.hash)).collect();
         ps.persisted_memo = snap
@@ -470,7 +464,7 @@ impl Session {
             .iter()
             .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r))
             .collect();
-        Ok((snap.facts.len(), bytes.len()))
+        Ok((snap.facts.len(), w.base_bytes))
     }
 
     /// Append one framed record holding only what is not yet durable:
@@ -486,7 +480,10 @@ impl Session {
             .collect();
         let memo_delta: Vec<_> = memo
             .into_iter()
-            .filter(|(cs, r)| !ps.persisted_memo.contains(&snapshot::memo_fingerprint(cs, *r)))
+            .filter(|(cs, r)| {
+                !ps.persisted_memo
+                    .contains(&snapshot::memo_fingerprint(cs, *r))
+            })
             .collect();
         if delta.is_empty() && memo_delta.is_empty() {
             return Ok((0, 0));
@@ -522,9 +519,7 @@ impl Session {
     /// [`COMPACT_MIN_LOG_BYTES`] floor and the base image's own size.
     fn maybe_compact(&mut self) -> std::io::Result<()> {
         let ps = self.persist.as_ref().unwrap();
-        let records = ps
-            .log_bytes
-            .saturating_sub(snapshot::LOG_HEADER_LEN as u64);
+        let records = ps.log_bytes.saturating_sub(snapshot::LOG_HEADER_LEN as u64);
         if records >= COMPACT_MIN_LOG_BYTES.max(ps.base_bytes) {
             self.rewrite_base()?;
             self.snapshot.compactions += 1;
@@ -774,8 +769,8 @@ impl Session {
     /// §4.2.4, block splitting §5.5) — computed on first request, served
     /// from the fact store afterwards.
     pub fn advisory_json(&self) -> Json {
-        // Demand all three program-scope advisory facts concurrently; on a
-        // warm store each is a reuse hit.
+        // Demand all three program-scope advisory facts; on a warm store
+        // each is a reuse hit.
         let (contractions_fact, advisory, splits_fact) = self.explorer.all_advisories();
         let contractions: Vec<Json> = contractions_fact
             .iter()

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use suif_analysis::{
-    AnalysisCtx, ArrayDataFlow, ParallelizeConfig, Parallelizer, ScheduleOptions, SummaryCache,
+    ArrayDataFlow, FactPlan, ParallelizeConfig, Parallelizer, ScheduleOptions, SummaryCache,
 };
 use suif_benchmarks::{ch4_apps, ch5_apps, ch6_apps, BenchProgram, Scale};
 
@@ -54,10 +54,10 @@ fn verdict_fingerprint(pa: &suif_analysis::ProgramAnalysis<'_>) -> String {
 fn parallel_schedule_is_bit_identical_across_suite() {
     for app in all_apps() {
         let program = app.parse();
-        let ctx = AnalysisCtx::new(&program);
-        let seq = ArrayDataFlow::analyze(&ctx);
+        let plan = FactPlan::new(&program, &ParallelizeConfig::default());
+        let seq = ArrayDataFlow::analyze(&plan.ctx);
         let (par, stats) =
-            suif_analysis::schedule::run(&ctx, &ScheduleOptions { threads: 4 }, None);
+            suif_analysis::schedule::run(&plan, &ScheduleOptions { threads: 4 }, None);
         assert_eq!(
             df_fingerprint(&seq),
             df_fingerprint(&par),
@@ -87,13 +87,13 @@ fn parallel_schedule_is_bit_identical_across_suite() {
 fn warm_cache_resummarizes_nothing_across_suite() {
     for app in all_apps() {
         let program = app.parse();
-        let ctx = AnalysisCtx::new(&program);
+        let plan = FactPlan::new(&program, &ParallelizeConfig::default());
         let cache = SummaryCache::new();
         let (cold, s1) =
-            suif_analysis::schedule::run(&ctx, &ScheduleOptions { threads: 2 }, Some(&cache));
+            suif_analysis::schedule::run(&plan, &ScheduleOptions { threads: 2 }, Some(&cache));
         assert_eq!(s1.summarized, s1.procs, "{}: cold run must miss", app.name);
         let (warm, s2) =
-            suif_analysis::schedule::run(&ctx, &ScheduleOptions { threads: 2 }, Some(&cache));
+            suif_analysis::schedule::run(&plan, &ScheduleOptions { threads: 2 }, Some(&cache));
         assert_eq!(
             s2.summarized, 0,
             "{}: warm run must re-summarize zero procedures",
