@@ -37,7 +37,7 @@ pub struct Explorer<'p> {
     /// Dynamic dependence observations (§2.5.2), aware of the compiler's
     /// induction variables and reductions.
     pub dyndep: DynDepReport,
-    /// Program input used for the instrumented runs.
+    /// Program input used for the instrumented run.
     pub input: Vec<f64>,
     slicer: Option<Slicer<'p>>,
     /// Assertions applied so far.
@@ -50,7 +50,8 @@ pub struct Explorer<'p> {
 }
 
 impl<'p> Explorer<'p> {
-    /// Start a session: auto-parallelize and run both execution analyzers.
+    /// Start a session: auto-parallelize, then run the program once with
+    /// both execution analyzers attached.
     pub fn new(program: &'p Program, input: Vec<f64>) -> Result<Explorer<'p>, ExplorerError> {
         Self::with_config(program, ParallelizeConfig::default(), input)
     }
@@ -86,25 +87,20 @@ impl<'p> Explorer<'p> {
         let assertions = config.assertions.clone();
         let (analysis, stats) = Parallelizer::analyze_in(program, config, opts, cache, &store);
 
-        // Loop profile run (§2.5.1).
-        let mut profiler = LoopProfiler::new();
+        // One instrumented run serves both Execution Analyzers: the loop
+        // profile (§2.5.1) and the dynamic dependences (§2.5.2), the latter
+        // ignoring compiler-recognized induction variables and reduction
+        // updates.
+        let dd_config = dyndep_config(program, &analysis);
+        let mut hooks = (LoopProfiler::new(), DynDepAnalyzer::new(dd_config));
         {
             let mut m =
-                Machine::new(program, &mut profiler).map_err(|e| ExplorerError(e.to_string()))?;
+                Machine::new(program, &mut hooks).map_err(|e| ExplorerError(e.to_string()))?;
             m.set_input(input.clone());
             m.run().map_err(|e| ExplorerError(e.to_string()))?;
         }
+        let (profiler, dd) = hooks;
         let profile = profiler.report();
-
-        // Dynamic dependence run (§2.5.2), ignoring compiler-recognized
-        // induction variables and reduction updates.
-        let dd_config = dyndep_config(program, &analysis);
-        let mut dd = DynDepAnalyzer::new(dd_config);
-        {
-            let mut m = Machine::new(program, &mut dd).map_err(|e| ExplorerError(e.to_string()))?;
-            m.set_input(input.clone());
-            m.run().map_err(|e| ExplorerError(e.to_string()))?;
-        }
         let dyndep = dd.report();
 
         Ok((

@@ -42,7 +42,10 @@ pub struct GuruReport {
     pub coverage: f64,
     /// Parallelism granularity (avg ops per parallel-loop invocation).
     pub granularity: f64,
-    /// Granularity in estimated milliseconds (wall-time scaled).
+    /// Granularity in estimated milliseconds: ops scaled by the profile's
+    /// whole-run ns per op.  That run is the session's one instrumented run,
+    /// which also carries the dependence analyzer, so the scale includes its
+    /// instrumentation.
     pub granularity_ms: f64,
     /// Ranked list of sequential loops to examine.
     pub targets: Vec<TargetLoop>,

@@ -11,11 +11,32 @@
 //! * "it also ignores anti-dependences" — only write→read (flow) pairs are
 //!   examined;
 //! * it "can detect parallelism that requires data to be privatized" — a
-//!   read preceded by a same-iteration write compares equal stamps and
-//!   reports nothing;
+//!   read preceded by a same-iteration write reports nothing;
 //! * "the instrumentation can skip batches of iterations because the
 //!   analysis result is used only as a hint" — `max_iterations_per_invocation`
 //!   caps tracking per loop invocation.
+//!
+//! # Clock-stamped shadow memory
+//!
+//! One `u64` event clock ticks at every monitored `loop_enter` and
+//! `loop_iter`, so clock values follow depth-first time.  Each active loop
+//! level remembers the clock at its entry and at the start of its current
+//! iteration.  The shadow memory is a flat `Vec<u64>` indexed by address: a
+//! store writes the current clock into its cell (0 = never written), so
+//! hooking a store costs one word write and no allocation.
+//!
+//! A load of a cell last written at clock `w` walks the active levels,
+//! outermost first.  `w < enter` means the write precedes this loop
+//! instance: no dependence.  `enter <= w < iter_start` means it happened in
+//! an earlier iteration of this instance: a carried dependence at this
+//! level.  Otherwise the write belongs to the current iteration and the
+//! walk goes one level deeper.  This answers exactly what comparing the
+//! write's full `(loop, invocation, iteration)` stack with the current one
+//! would, which the differential test against the stamp-vector oracle
+//! (`tests/legacy`) checks.
+//!
+//! The Explorer runs this analyzer and the [`crate::LoopProfiler`] in one
+//! instrumented run, attached to the machine as the pair `(profiler, dd)`.
 
 use crate::machine::Hooks;
 use std::collections::{HashMap, HashSet};
@@ -37,42 +58,48 @@ pub struct DynDepConfig {
     pub max_iterations_per_invocation: Option<u64>,
 }
 
-/// A stamp identifying a point in the dynamic loop-iteration space:
-/// `(loop, invocation, iteration)` for every active monitored loop,
-/// outermost first.
-type IterVec = Box<[(StmtId, u64, i64)]>;
-
 /// The analyzer: plug into a [`crate::Machine`] as its hooks.
 pub struct DynDepAnalyzer {
     config: DynDepConfig,
+    /// `config.ignore_vars` as a dense table indexed by `VarId`.
+    ignored: Vec<bool>,
     /// Active monitored loops, outermost first.
     active: Vec<ActiveLoop>,
-    /// Most recent write stamp per address.
-    last_write: HashMap<usize, IterVec>,
+    /// The event clock: ticks at every monitored loop entry and iteration.
+    clock: u64,
+    /// Clock of the most recent write per address (0 = never written, or
+    /// written before the first monitored loop entry: neither can carry).
+    shadow: Vec<u64>,
     /// Observed loop-carried flow dependences: loop → variables.
     deps: HashMap<StmtId, HashSet<VarId>>,
-    /// Per-loop invocation counters.
-    invocations: HashMap<StmtId, u64>,
     /// Nesting depth at which tracking was suspended by sampling (if any).
     suspended_at: Option<usize>,
 }
 
 struct ActiveLoop {
     stmt: StmtId,
-    invocation: u64,
-    iter: i64,
+    /// Clock at this invocation's entry.
+    enter: u64,
+    /// Clock at the start of the current iteration.
+    iter_start: u64,
     iters_seen: u64,
 }
 
 impl DynDepAnalyzer {
     /// Fresh analyzer.
     pub fn new(config: DynDepConfig) -> DynDepAnalyzer {
+        let len = config.ignore_vars.iter().map(|v| v.0 as usize + 1).max();
+        let mut ignored = vec![false; len.unwrap_or(0)];
+        for v in &config.ignore_vars {
+            ignored[v.0 as usize] = true;
+        }
         DynDepAnalyzer {
             config,
+            ignored,
             active: Vec::new(),
-            last_write: HashMap::new(),
+            clock: 0,
+            shadow: Vec::new(),
             deps: HashMap::new(),
-            invocations: HashMap::new(),
             suspended_at: None,
         }
     }
@@ -84,15 +111,9 @@ impl DynDepAnalyzer {
         }
     }
 
-    fn tracking(&self) -> bool {
-        self.suspended_at.is_none()
-    }
-
-    fn stamp(&self) -> IterVec {
-        self.active
-            .iter()
-            .map(|a| (a.stmt, a.invocation, a.iter))
-            .collect()
+    /// Is this access counted (tracking not suspended, variable not ignored)?
+    fn tracked(&self, var: VarId) -> bool {
+        self.suspended_at.is_none() && !self.ignored.get(var.0 as usize).copied().unwrap_or(false)
     }
 
     /// Finish and extract the report.
@@ -106,85 +127,77 @@ impl Hooks for DynDepAnalyzer {
         if !self.monitored(stmt) {
             return;
         }
-        let inv = self.invocations.entry(stmt).or_insert(0);
-        *inv += 1;
+        self.clock += 1;
         self.active.push(ActiveLoop {
             stmt,
-            invocation: *inv,
-            iter: 0,
+            enter: self.clock,
+            iter_start: self.clock,
             iters_seen: 0,
         });
     }
 
-    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
-        if !self.monitored(stmt) {
+    // `loop_iter` and `loop_exit` need no `monitored` probe: MiniF has no
+    // recursion, so the top level names `stmt` only if `stmt` was entered
+    // as a monitored loop.
+    fn loop_iter(&mut self, stmt: StmtId, _iter: i64) {
+        let depth = self.active.len().saturating_sub(1);
+        let Some(top) = self.active.last_mut() else {
+            return;
+        };
+        if top.stmt != stmt {
             return;
         }
-        let depth = self.active.len().saturating_sub(1);
-        if let Some(top) = self.active.last_mut() {
-            if top.stmt == stmt {
-                top.iter = iter;
-                top.iters_seen += 1;
-                if let Some(cap) = self.config.max_iterations_per_invocation {
-                    if top.iters_seen > cap && self.suspended_at.is_none() {
-                        self.suspended_at = Some(depth);
-                    }
-                }
+        self.clock += 1;
+        top.iter_start = self.clock;
+        top.iters_seen += 1;
+        if let Some(cap) = self.config.max_iterations_per_invocation {
+            if top.iters_seen > cap && self.suspended_at.is_none() {
+                self.suspended_at = Some(depth);
             }
         }
     }
 
     fn loop_exit(&mut self, stmt: StmtId, _ops: u64) {
-        if !self.monitored(stmt) {
-            return;
-        }
-        if let Some(top) = self.active.last() {
-            if top.stmt == stmt {
-                let depth = self.active.len() - 1;
-                if self.suspended_at == Some(depth) {
-                    self.suspended_at = None;
-                }
-                self.active.pop();
+        if self.active.last().is_some_and(|top| top.stmt == stmt) {
+            if self.suspended_at == Some(self.active.len() - 1) {
+                self.suspended_at = None;
             }
+            self.active.pop();
         }
     }
 
     fn load(&mut self, var: VarId, addr: usize) {
-        if !self.tracking() || self.config.ignore_vars.contains(&var) || self.active.is_empty() {
+        if self.active.is_empty() || !self.tracked(var) {
             return;
         }
-        let Some(w) = self.last_write.get(&addr) else {
+        let Some(&w) = self.shadow.get(addr) else {
             return;
         };
-        // Scan the common prefix of the write stamp and the current stack,
-        // outermost first.
-        for (k, a) in self.active.iter().enumerate() {
-            let Some(&(ws, winv, witer)) = w.get(k) else {
-                // Write happened outside this loop (before it started):
-                // upwards-exposed read from pre-loop data, no carried dep.
-                break;
-            };
-            if ws != a.stmt || winv != a.invocation {
-                // Different loop structure or an earlier invocation at this
-                // level — the write precedes this loop instance entirely.
-                break;
+        for a in &self.active {
+            if w < a.enter {
+                // The write precedes this loop instance (or never happened):
+                // an upwards-exposed read, no carried dependence.
+                return;
             }
-            if witer != a.iter {
-                // Same loop instance, different iteration: loop-carried
-                // flow dependence at this loop.
+            if w < a.iter_start {
+                // Same loop instance, earlier iteration: loop-carried flow
+                // dependence at this loop.
                 if !self.config.ignore_loop_vars.contains(&(a.stmt, var)) {
                     self.deps.entry(a.stmt).or_default().insert(var);
                 }
-                break;
+                return;
             }
         }
     }
 
     fn store(&mut self, var: VarId, addr: usize) {
-        if !self.tracking() || self.config.ignore_vars.contains(&var) {
+        if !self.tracked(var) {
             return;
         }
-        self.last_write.insert(addr, self.stamp());
+        if addr >= self.shadow.len() {
+            self.shadow.resize(addr + 1, 0);
+        }
+        self.shadow[addr] = self.clock;
     }
 }
 

@@ -1,16 +1,25 @@
 //! Execution substrate for the SUIF Explorer reproduction: a MiniF
 //! interpreter plus the two *Execution Analyzers* of §2.5:
 //!
-//! * the **Loop Profile Analyzer** (§2.5.1) — per-loop execution time
-//!   (virtual-op cost and wall clock), invocation counts, coverage and
-//!   granularity metrics;
+//! * the **Loop Profile Analyzer** (§2.5.1) — per-loop execution cost in
+//!   virtual ops (scaled to time by the whole run's wall clock), invocation
+//!   counts, coverage and granularity metrics;
 //! * the **Dynamic Dependence Analyzer** (§2.5.2) — shadow-memory tracking of
 //!   the most recent write to every location, reporting loop-carried flow
 //!   dependences while ignoring compiler-recognized induction variables and
 //!   reduction updates, ignoring anti-dependences, and modelling
 //!   privatization (a read preceded by a same-iteration write carries no
 //!   dependence).  Iteration batching (§2.5.2's second optimization) is
-//!   supported through a sampling configuration.
+//!   supported through a sampling configuration.  The shadow memory is a
+//!   flat vector of clock stamps: one event clock ticks at each monitored
+//!   loop entry and iteration, a store writes the clock into its address's
+//!   cell, and a load compares that stamp with the active loops' entry and
+//!   iteration-start clocks (see [`dyndep`]).
+//!
+//! Both analyzers observe **one** instrumented run: [`machine::Hooks`] is
+//! implemented for pairs, so `Machine::new(program, &mut (profiler, dd))`
+//! feeds every event to each in turn, and [`machine::Hooks::finish`] hands
+//! them the run's final op count.
 //!
 //! The interpreter uses Fortran-77 storage semantics: statically allocated
 //! locals (SAVE semantics), common blocks as shared segments, by-reference

@@ -54,11 +54,47 @@ pub trait Hooks {
     fn load(&mut self, _var: VarId, _addr: usize) {}
     /// A memory cell was written through variable `var`.
     fn store(&mut self, _var: VarId, _addr: usize) {}
+    /// [`Machine::run`] ended; `ops` is the final virtual-op counter.
+    fn finish(&mut self, _ops: u64) {}
 }
 
 /// No-op hooks.
 pub struct NoHooks;
 impl Hooks for NoHooks {}
+
+/// A tee: both analyzers observe one run, `A` before `B` at every event.
+/// The Explorer attaches the profiler and the dependence analyzer this way
+/// so one instrumented run serves both.
+impl<A: Hooks, B: Hooks> Hooks for (A, B) {
+    fn on_stmt(&mut self, id: StmtId, line: u32) {
+        self.0.on_stmt(id, line);
+        self.1.on_stmt(id, line);
+    }
+    fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+        self.0.loop_enter(stmt, ops);
+        self.1.loop_enter(stmt, ops);
+    }
+    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+        self.0.loop_iter(stmt, iter);
+        self.1.loop_iter(stmt, iter);
+    }
+    fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+        self.0.loop_exit(stmt, ops);
+        self.1.loop_exit(stmt, ops);
+    }
+    fn load(&mut self, var: VarId, addr: usize) {
+        self.0.load(var, addr);
+        self.1.load(var, addr);
+    }
+    fn store(&mut self, var: VarId, addr: usize) {
+        self.0.store(var, addr);
+        self.1.store(var, addr);
+    }
+    fn finish(&mut self, ops: u64) {
+        self.0.finish(ops);
+        self.1.finish(ops);
+    }
+}
 
 /// Memory backing a machine.
 ///
@@ -307,11 +343,14 @@ impl<'a> Machine<'a> {
         self.mem.store(addr, val)
     }
 
-    /// Run the whole program from `main`.
+    /// Run the whole program from `main`, then report the final op count
+    /// to the hooks ([`Hooks::finish`]), also when the run failed.
     pub fn run(&mut self) -> Result<(), RuntimeError> {
         debug_assert_eq!(self.frames.len(), 1);
         let body = &self.program.proc(self.program.main).body;
-        self.exec_body(body)
+        let result = self.exec_body(body);
+        self.hooks.finish(self.ops);
+        result
     }
 
     /// Execute a statement list in the current frame.

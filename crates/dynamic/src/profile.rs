@@ -5,17 +5,21 @@
 //! "which loops dominate the execution time and whether the computation time
 //! is spread over many different invocations".
 //!
-//! Two cost metrics are kept: *virtual ops* (the machine's deterministic
-//! operation counter — used by tests and for stable rankings) and wall-clock
-//! nanoseconds (used for the speedup figures).
+//! Two cost metrics are kept: *virtual ops* per loop (the machine's
+//! deterministic operation counter — used by tests and for stable rankings)
+//! and the whole run's wall-clock nanoseconds (which scale ops to time).
+//!
+//! The Explorer attaches this profiler and the
+//! [`crate::DynDepAnalyzer`] to one instrumented run, so the wall time it
+//! records includes the dependence analyzer's instrumentation.
 
 use crate::machine::Hooks;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use suif_ir::{StmtId, VarId};
+use suif_ir::StmtId;
 
 /// Per-loop profile data.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoopProfile {
     /// Number of times the loop was entered.
     pub invocations: u64,
@@ -23,8 +27,6 @@ pub struct LoopProfile {
     pub iterations: u64,
     /// Total inclusive virtual ops across invocations.
     pub total_ops: u64,
-    /// Total inclusive wall time in nanoseconds.
-    pub total_nanos: u64,
     /// Loops observed dynamically enclosing this one at least once.
     pub dynamic_ancestors: HashSet<StmtId>,
 }
@@ -38,15 +40,6 @@ impl LoopProfile {
             self.total_ops as f64 / self.invocations as f64
         }
     }
-
-    /// Average wall nanoseconds per invocation.
-    pub fn granularity_nanos(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.total_nanos as f64 / self.invocations as f64
-        }
-    }
 }
 
 /// The profiler: plug into a [`crate::Machine`] as its hooks, run, then call
@@ -56,13 +49,15 @@ pub struct LoopProfiler {
     stack: Vec<ActiveLoop>,
     start: Instant,
     total_nanos: u64,
-    final_ops: u64,
+    total_ops: u64,
 }
 
 struct ActiveLoop {
     stmt: StmtId,
     enter_ops: u64,
-    enter_time: Instant,
+    /// Iterations of this invocation so far, added to the loop's profile at
+    /// exit.
+    iterations: u64,
 }
 
 impl Default for LoopProfiler {
@@ -79,17 +74,17 @@ impl LoopProfiler {
             stack: Vec::new(),
             start: Instant::now(),
             total_nanos: 0,
-            final_ops: 0,
+            total_ops: 0,
         }
     }
 
-    /// Finish and extract the report (call after the machine run completes).
-    pub fn report(mut self) -> ProfileReport {
-        self.total_nanos = self.start.elapsed().as_nanos() as u64;
+    /// Extract the report (call after [`crate::Machine::run`] returned).  A
+    /// loop's invocations, iterations and ops are counted when it exits.
+    pub fn report(self) -> ProfileReport {
         ProfileReport {
             profiles: self.profiles,
             total_nanos: self.total_nanos,
-            total_ops: self.final_ops,
+            total_ops: self.total_ops,
         }
     }
 }
@@ -103,12 +98,16 @@ impl Hooks for LoopProfiler {
         self.stack.push(ActiveLoop {
             stmt,
             enter_ops: ops,
-            enter_time: Instant::now(),
+            iterations: 0,
         });
     }
 
     fn loop_iter(&mut self, stmt: StmtId, _iter: i64) {
-        self.profiles.entry(stmt).or_default().iterations += 1;
+        let Some(top) = self.stack.last_mut() else {
+            return;
+        };
+        debug_assert_eq!(top.stmt, stmt);
+        top.iterations += 1;
     }
 
     fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
@@ -116,9 +115,13 @@ impl Hooks for LoopProfiler {
         debug_assert_eq!(top.stmt, stmt);
         let prof = self.profiles.entry(stmt).or_default();
         prof.invocations += 1;
+        prof.iterations += top.iterations;
         prof.total_ops += ops.saturating_sub(top.enter_ops);
-        prof.total_nanos += top.enter_time.elapsed().as_nanos() as u64;
-        self.final_ops = self.final_ops.max(ops);
+    }
+
+    fn finish(&mut self, ops: u64) {
+        self.total_ops = ops;
+        self.total_nanos = self.start.elapsed().as_nanos() as u64;
     }
 }
 
@@ -129,7 +132,7 @@ pub struct ProfileReport {
     pub profiles: HashMap<StmtId, LoopProfile>,
     /// Whole-run wall time in nanoseconds.
     pub total_nanos: u64,
-    /// Whole-run virtual ops (max observed counter).
+    /// Whole-run virtual ops (the machine's final counter).
     pub total_ops: u64,
 }
 
@@ -194,15 +197,37 @@ impl ProfileReport {
     }
 }
 
-/// Convenience: variables are not profiled, but re-export the hook trait so
-/// callers can combine analyzers.
-pub fn _unused(_: VarId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::Machine;
     use suif_ir::{parse_program, RegionTree};
+
+    #[test]
+    fn total_ops_counts_work_after_the_last_loop() {
+        // One short loop, then a long loop-free procedure: the run's op
+        // count must include the call, so the loop covers well under half.
+        let tail: String = (0..40).map(|k| format!("  s = s + {k}\n")).collect();
+        let p = parse_program(&format!(
+            "program t\nproc tail() {{\n  int s\n  s = 0\n{tail}  print s\n}}\n\
+             proc main() {{\n  int i, s\n  s = 0\n  do 10 i = 1, 3 {{\n    s = s + i\n  }}\n  \
+             call tail()\n  print s\n}}\n"
+        ))
+        .unwrap();
+        let tree = RegionTree::build(&p);
+        let mut prof = LoopProfiler::new();
+        let ops = {
+            let mut m = Machine::new(&p, &mut prof).unwrap();
+            m.run().unwrap();
+            m.ops()
+        };
+        let rep = prof.report();
+        assert_eq!(rep.total_ops, ops);
+        let l = tree.loops[0].stmt;
+        let cov = rep.coverage(&HashSet::from([l]));
+        assert!(cov > 0.0 && cov < 0.5, "loop coverage {cov}");
+        assert_eq!(rep.coverage_of(l), cov);
+    }
 
     #[test]
     fn profiles_loop_costs_and_nesting() {
